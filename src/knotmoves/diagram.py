@@ -168,7 +168,15 @@ class Fragment:
         return (f, d)
 
     def face_walks(self) -> list[list[Dart]]:
-        """Orbits of the left-turn dart map; each walk keeps its face on the right."""
+        """Orbits of the left-turn dart map; each walk keeps its face on the right.
+
+        Computed once per fragment (fragments are immutable); callers share
+        the returned lists and must not mutate them.
+        """
+        return self._face_walks
+
+    @cached_property
+    def _face_walks(self) -> list[list[Dart]]:
         if not self.crossings and self.free_loops == 1 and not self.legs:
             return [[(0, 0)], [(0, 1)]]
         seen: set[Dart] = set()
@@ -329,20 +337,48 @@ class Diagram(Fragment):
         """
         if not self.crossings:
             return "unknot"
+        # Every rotation labels its first passage 0, so only rotations whose
+        # first token has the minimal tail can win.  All candidates have the
+        # same length (each label occurs twice), so a candidate is compared
+        # with the best string token by token and dropped as soon as it is
+        # larger; once it is smaller it is finished without compares.
+        labels = [str(i) for i in range(self.n_crossings)]
         best: str | None = None
         for reverse in (False, True):
             seq = self._gauss_sequence(reverse)
             m = len(seq)
+            tails = [("o" if over else "u") + ("+" if sign > 0 else "-")
+                     for _, over, sign in seq]
+            head = min(tails)
+            cis = [ci for ci, _, _ in seq] * 2
+            tails *= 2
             for r in range(m):
-                label: dict[int, int] = {}
+                if tails[r] != head:
+                    continue
+                label: dict[int, str] = {}
                 parts = []
-                for i in range(m):
-                    ci, over, sign = seq[(r + i) % m]
-                    lab = label.setdefault(ci, len(label))
-                    parts.append(f"{lab}{'o' if over else 'u'}{'+' if sign > 0 else '-'}")
-                cand = ";".join(parts)
-                if best is None or cand < best:
-                    best = cand
+                tied = best is not None
+                pos = 0
+                for i in range(r, r + m):
+                    ci = cis[i]
+                    lab = label.get(ci)
+                    if lab is None:
+                        lab = label[ci] = labels[len(label)]
+                    tok = lab + tails[i]
+                    parts.append(tok)
+                    if tied:
+                        end = pos + len(tok)
+                        ref = best[pos:end]  # type: ignore[index]
+                        if tok != ref:
+                            if tok > ref:
+                                break
+                            tied = False
+                        # A token ends in a sign, and a sign is always
+                        # followed by ";" or the end of the string.
+                        pos = end + 1
+                else:
+                    if not tied:
+                        best = ";".join(parts)
         return best  # type: ignore[return-value]
 
     # -- basic operations -------------------------------------------------

@@ -13,6 +13,7 @@ it changes the knot and is used by the move engine as the order-3 rewrite.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Callable, Sequence
 
 from .diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram, _IdJoiner
@@ -357,14 +358,21 @@ def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
 
     Never returns a fragment with more crossings than the input; ties are
     broken by the canonical key for determinism.
+
+    R3 slides that land on an exact state (crossing records, legs and free
+    loops) already reached in this exploration are skipped before the
+    greedy reduction and the key.  Reduction is deterministic in that
+    state, so the first visit already put the reduced key into ``seen``
+    and a repeat could only be discarded; results are unchanged.
     """
     start, script = greedy_reduce(frag)
     best = (start.n_crossings, key_fn(start), start, script)
-    frontier = [(start, script)]
+    frontier = deque([(start, script)])
     seen = {best[1]}
+    reached: set[tuple] = set()
     expansions = 0
     while frontier and expansions < r3_budget:
-        cur, cur_script = frontier.pop(0)
+        cur, cur_script = frontier.popleft()
         for site in triangle_slide_sites(cur, "r3"):
             expansions += 1
             if expansions > r3_budget:
@@ -373,6 +381,10 @@ def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
                 nxt = triangle_slide(cur, *site[1:])
             except (InapplicableMove, MalformedDiagram):
                 continue
+            state = (nxt.crossings, nxt.legs, nxt.free_loops)
+            if state in reached:
+                continue
+            reached.add(state)
             nxt, extra = greedy_reduce(nxt)
             key = key_fn(nxt)
             if key in seen:

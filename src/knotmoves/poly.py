@@ -113,7 +113,7 @@ class LaurentPolynomial:
             (exp, coeff), = self._terms.items()
             if coeff not in (1, -1):
                 raise ValueError("negative powers only defined for unit monomials")
-            return _raw({exp * n: coeff ** (n % 2 * 2 - 1) if coeff == -1 else 1})
+            return _raw({exp * n: coeff ** (n % 2)})
         result = LaurentPolynomial.one()
         base = self
         while n:

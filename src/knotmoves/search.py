@@ -9,6 +9,7 @@ exists.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import gauss
@@ -75,6 +76,12 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     and order 4 has no rewrite repertoire cheap enough for the crossing cap
     (so B4-only searches report exhaustion).  Intermediate diagrams are
     capped at n(d1) + cap_extra crossings.
+
+    A neighbour whose exact state (crossing records and free loops, before
+    simplification) was already reached in this search is skipped before
+    simplify and the key.  Simplification is deterministic in that state,
+    so the first visit already either rejected it on the cap or put its
+    key into ``seen``; scripts and expansion counts are unchanged.
     """
     bad = movekinds - {"B2", "B3", "B4"}
     if bad:
@@ -84,11 +91,12 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     if start.canonical_key == goal:
         return SearchResult(True, [], 0, 0, "already equivalent")
     cap = max(start.n_crossings, d1.n_crossings) + cap_extra
-    frontier: list[tuple[Diagram, Script]] = [(start, list(start_script))]
+    frontier: deque[tuple[Diagram, Script]] = deque([(start, list(start_script))])
     seen = {start.canonical_key}
+    reached: set[tuple] = set()
     expansions = 0
     while frontier and expansions < budget:
-        cur, script = frontier.pop(0)
+        cur, script = frontier.popleft()
         moves: list[Script] = []
         if "B2" in movekinds:
             moves.extend(_switch_neighbors(cur))
@@ -103,6 +111,10 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
                 nxt = Diagram(nxt.crossings, nxt.free_loops, check=False)
             except (InapplicableMove, MalformedDiagram):
                 continue
+            state = (nxt.crossings, nxt.free_loops)
+            if state in reached:
+                continue
+            reached.add(state)
             if nxt.n_crossings > cap + 2:
                 continue
             nxt, extra = simplify_with_script(nxt, r3_budget)
@@ -127,6 +139,10 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET, cap_extra: int = 4,
     search descends toward v2 = 0 and then chases the crossing count.
     Intermediates are capped at n(d) + cap_extra crossings.  Failures are
     budget artifacts, never counterexamples.
+
+    As in bfs_path, neighbours whose exact pre-simplification state was
+    already reached are skipped: their first visit decided their fate, so
+    results are unchanged.
     """
     start, start_script = simplify_with_script(d, r3_budget)
     if start.n_crossings == 0:
@@ -146,6 +162,7 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET, cap_extra: int = 4,
 
     push(start, list(start_script))
     seen = {start.canonical_key}
+    reached: set[tuple] = set()
     expansions = 0
     while heap and expansions < budget:
         _, cur, script = heapq.heappop(heap)
@@ -158,6 +175,10 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET, cap_extra: int = 4,
                 nxt = Diagram(nxt.crossings, nxt.free_loops, check=False)
             except (InapplicableMove, MalformedDiagram):
                 continue
+            state = (nxt.crossings, nxt.free_loops)
+            if state in reached:
+                continue
+            reached.add(state)
             nxt, extra = simplify_with_script(nxt, r3_budget)
             if nxt.n_crossings > cap:
                 continue

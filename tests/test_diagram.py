@@ -1,10 +1,44 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotmoves.diagram import (Diagram, MalformedDiagram, NotRealizable, emit_dt,
                                emit_pd, parse_dt, parse_pd)
 from knotmoves.gauss import to_gauss
+from knotmoves.moves import random_perturb
+
+
+def reference_key(d: Diagram) -> str:
+    """The unpruned O(m^2) key: every rotation in both directions, as strings."""
+    if not d.crossings:
+        return "unknot"
+    best = None
+    for reverse in (False, True):
+        seq = d._gauss_sequence(reverse)
+        m = len(seq)
+        for r in range(m):
+            label: dict[int, int] = {}
+            parts = []
+            for i in range(m):
+                ci, over, sign = seq[(r + i) % m]
+                lab = label.setdefault(ci, len(label))
+                parts.append(f"{lab}{'o' if over else 'u'}{'+' if sign > 0 else '-'}")
+            cand = ";".join(parts)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+@pytest.fixture(scope="module")
+def perturbed(knots) -> list[Diagram]:
+    """Corpus knots, R-perturbed copies up to 17 crossings, and all mirrors."""
+    out = []
+    for d in knots.values():
+        out.append(d)
+        for seed in range(4):
+            out.append(random_perturb(d, 14, seed=seed, max_extra=8))
+    return out + [d.mirror() for d in out]
 
 
 def test_empty_code_is_unknot():
@@ -59,6 +93,25 @@ def test_canonical_key_invariances(left_trefoil):
     for e in left_trefoil.edges():
         rotated = Diagram(left_trefoil.crossings, basepoint=e, check=False)
         assert rotated.canonical_key == left_trefoil.canonical_key
+
+
+def test_canonical_key_matches_reference(perturbed):
+    # Multi-digit labels ("10u+" sorts before "1o+") must be covered.
+    assert max(d.n_crossings for d in perturbed) >= 15
+    for d in perturbed:
+        assert d.canonical_key == reference_key(d), d.crossings
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_canonical_key_relabel_and_basepoint(perturbed, data):
+    d = data.draw(st.sampled_from(perturbed))
+    shifted = d.shifted(data.draw(st.integers(1, 500)))
+    assert shifted.canonical_key == d.canonical_key
+    if d.crossings:
+        e = data.draw(st.sampled_from(d.edges()))
+        rebased = Diagram(d.crossings, d.free_loops, basepoint=e, check=False)
+        assert rebased.canonical_key == d.canonical_key
 
 
 def test_canonical_key_separates(left_trefoil):

@@ -147,3 +147,24 @@ def test_perturbation_round_trip_property(seed, steps):
     assert p.is_planar()
     s = simplify(p, r3_budget=2000)
     assert s.canonical_key == t.canonical_key
+
+
+def test_face_walks_cache_matches_fresh(left_trefoil):
+    from knotmoves.diagram import Fragment
+    from knotmoves.moves import greedy_reduce
+
+    def fresh(frag):
+        return Fragment(frag.crossings, frag.legs, frag.free_loops).face_walks()
+
+    derived = []
+    for site in r2_add_sites(left_trefoil)[:6]:
+        d = r2_add(left_trefoil, *site[1:])
+        derived.append(d)
+        for slide in triangle_slide_sites(d, "r3") + triangle_slide_sites(d, "delta"):
+            derived.append(triangle_slide(d, *slide[1:]))
+    derived += [greedy_reduce(d)[0] for d in derived]
+    assert len(derived) > 12
+    for d in derived:
+        walks = d.face_walks()
+        assert d.face_walks() is walks
+        assert walks == fresh(d)

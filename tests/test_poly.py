@@ -54,3 +54,15 @@ def test_ring_laws(a, b, c):
 def test_negation_and_hash(a):
     assert a + (-a) == L.zero()
     assert hash(a) == hash(L.from_pairs(a.to_pairs()))
+
+
+def test_negative_powers_of_unit_monomials_stay_integer():
+    x = L.monomial(1)
+    for base in (x, -x):
+        for k in range(1, 7):
+            inv = base ** -k
+            assert inv * base ** k == 1
+            assert all(type(c) is int for _, c in inv.items())
+    assert ((-x) ** -2).to_pairs() == [[-2, 1]]
+    assert ((-x) ** -3).to_pairs() == [[-3, -1]]
+    assert repr((-x) ** -2) == "1*x^-2"

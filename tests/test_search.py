@@ -78,3 +78,45 @@ def test_b4_paths_are_best_effort(small_knots):
                    budget=50)
     assert not res.found
     assert res.note == "budget exhausted"
+
+
+# Scripts and expansion counts recorded before the exact-state skip and the
+# pruned key landed; both optimizations must leave them byte-identical.
+GOLDEN_DELTA = {
+    "3_1": {"found": True, "moves_used": 1, "expansions": 1, "note": "",
+            "script": [["delta", 0, 1, 2, 3, 5, 1], ["r1-", 0], ["r1-", 0],
+                       ["r1-", 0]]},
+    "5_1": {"found": True, "moves_used": 3, "expansions": 235, "note": "",
+            "script": [["r2+", 1, 1, 9, 0, True], ["delta", 2, 6, 0, 9, 11, 5],
+                       ["r1-", 6], ["r3", 3, 2, 5, 6, 14, 1],
+                       ["r3", 5, 0, 3, 9, 5, 1], ["r1-", 5],
+                       ["delta", 1, 4, 3, 8, 4, 2], ["r1-", 3],
+                       ["r3", 1, 2, 0, 12, 6, 1], ["r1-", 1],
+                       ["delta", 0, 2, 1, 7, 5, 1], ["r1-", 0], ["r1-", 0],
+                       ["r1-", 0]]},
+    "5_2": {"found": True, "moves_used": 2, "expansions": 195, "note": "",
+            "script": [["delta", 0, 1, 3, 3, 7, 1], ["r1-", 0],
+                       ["r3", 2, 3, 0, 8, 6, 1], ["r1-", 3],
+                       ["delta", 0, 1, 2, 5, 9, 1], ["r1-", 0], ["r1-", 0],
+                       ["r1-", 0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DELTA))
+def test_delta_unknot_golden(small_knots, name):
+    assert delta_unknot(small_knots[name], budget=3000).to_json() == GOLDEN_DELTA[name]
+
+
+def test_bfs_path_golden(left_trefoil, unknot, small_knots):
+    res = bfs_path(left_trefoil, unknot, {"B2"})
+    assert res.to_json() == {"found": True, "moves_used": 1, "expansions": 1,
+                             "note": "", "script": [["switch", 0],
+                                                    ["r2-", 0, 1, 1, 4],
+                                                    ["r1-", 0]]}
+    # Breadth-first B3 search finds the same route as the guided search.
+    res = bfs_path(small_knots["5_2"], unknot, {"B3"}, budget=400)
+    assert res.to_json() == GOLDEN_DELTA["5_2"]
+    res = bfs_path(small_knots["granny"], small_knots["square"], {"B3"},
+                   budget=150)
+    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 151,
+                             "note": "budget exhausted", "script": []}
