@@ -168,3 +168,56 @@ def test_face_walks_cache_matches_fresh(left_trefoil):
         walks = d.face_walks()
         assert d.face_walks() is walks
         assert walks == fresh(d)
+
+
+# Digest of (script, canonical key) of simplify_with_script on every corpus
+# knot after 12 random R-moves, recorded before the search loops were
+# merged into one explorer; the merge must leave every entry unchanged.
+GOLDEN_SIMPLIFY = {
+    "3_1/0": "0c54ec82b1eb72f5", "3_1/1": "a94414911893cbde", "3_1/2": "99ff6d2cf79ece99",
+    "3_1+4_1/0": "85956bc5caae25ee", "3_1+4_1/1": "12d9537ccef5cd06", "3_1+4_1/2": "b340f08239fea48b",
+    "3_1+5_1/0": "7118327264eee63f", "3_1+5_1/1": "f803c47600cb4fd7", "3_1+5_1/2": "3c9522d5fdb6151a",
+    "3_1+5_2/0": "7e92e40b8cf11386", "3_1+5_2/1": "d96d25dc1b9cc8c1", "3_1+5_2/2": "2f71183e3b5554dc",
+    "3_1+6_1/0": "532fceafbff042d3", "3_1+6_1/1": "608e185c0e5ec24e", "3_1+6_1/2": "d26f2c32f7a40406",
+    "4_1/0": "564bbf8256027deb", "4_1/1": "f711b827fd956b01", "4_1/2": "a250dd50a0c5119e",
+    "4_1+4_1/0": "65d0fd7e5f752b7b", "4_1+4_1/1": "cbf06c51b43bad5a", "4_1+4_1/2": "2a0c481231708428",
+    "4_1+5_2/0": "9f20437d8cdfac0c", "4_1+5_2/1": "23f9ca9b93a83349", "4_1+5_2/2": "743241dcc47a2c0f",
+    "5_1/0": "20c9c7c76fd54019", "5_1/1": "6a4845f47a90ef8c", "5_1/2": "cc801004331593f8",
+    "5_2/0": "f199ee0028d8a520", "5_2/1": "3da7cead2e736e04", "5_2/2": "39edcf3433ca0756",
+    "6_1/0": "2162449273c1ea87", "6_1/1": "5fa0ffde9305eac7", "6_1/2": "e4bb8aa5dfb98d7f",
+    "6_2/0": "b7c7274058524224", "6_2/1": "0c0f128900f6d8e8", "6_2/2": "22201a58ba536300",
+    "6_3/0": "ec2cf892fb1ed009", "6_3/1": "659af67953cb5340", "6_3/2": "c65d0722d0cb2900",
+    "7_1/0": "730f82f910f7c83a", "7_1/1": "a1e2cdd05162e356", "7_1/2": "2efc457bf7c3cd3d",
+    "7_2/0": "6e447446aca62ada", "7_2/1": "a3c4da38785d745f", "7_2/2": "867a5c9564a10fb1",
+    "7_3/0": "d509248a50d643c0", "7_3/1": "192b2a3235818adb", "7_3/2": "960959e785bd32d5",
+    "7_4/0": "bb81a730767ce566", "7_4/1": "38e91c103ad3eb6c", "7_4/2": "7e0b392316f9a9da",
+    "7_5/0": "5d309bf628be701d", "7_5/1": "10b3e07ca3c14d18", "7_5/2": "8f36e144eb00b8ca",
+    "7_6/0": "da7cd8a13142f9ef", "7_6/1": "35e164aa6c9bffb1", "7_6/2": "ed248a3fde2ec382",
+    "7_7/0": "9321447c3c2926b1", "7_7/1": "430dc5171a7d4e0c", "7_7/2": "0110c68bc6186785",
+    "dt8a/0": "74d857ae464b3b1d", "dt8a/1": "65c52108dde2adc1", "dt8a/2": "714e348a8d55914c",
+    "dt8b/0": "5abdcc79fc515e39", "dt8b/1": "6a890d3e97287b15", "dt8b/2": "853e1ea2b448b3bc",
+    "dt8c/0": "906b3f6d09458e23", "dt8c/1": "c51545f1ae59b2c3", "dt8c/2": "cae2e2afd7d6d547",
+    "dt8d/0": "81cc08f2b3854d56", "dt8d/1": "7f507163893e740c", "dt8d/2": "66c62e49b936b3fb",
+    "dt8e/0": "8d6d6621526c32b3", "dt8e/1": "215a1ec42f484997", "dt8e/2": "8b9f9ca381068d13",
+    "dt8f/0": "7e574f166f37f0be", "dt8f/1": "21891fc9bdcdcf8a", "dt8f/2": "1d8c418cbb5f1435",
+    "granny/0": "cec75d1aefaf8f83", "granny/1": "8fa780db8bcbdfd7", "granny/2": "af93b6f905337587",
+    "square/0": "72049e18846a226a", "square/1": "c3e054923f88d32f", "square/2": "717385084ef3c6bb",
+}
+
+
+def test_simplify_with_script_golden(knots):
+    import hashlib
+    import json
+
+    got = {}
+    r3_scripts = 0
+    for name, d in knots.items():
+        if not d.crossings:
+            continue
+        for seed in range(3):
+            out, script = simplify_with_script(random_perturb(d, 12, seed=seed))
+            r3_scripts += any(e[0] == "r3" for e in script)
+            blob = json.dumps([[list(e) for e in script], out.canonical_key])
+            got[f"{name}/{seed}"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert got == GOLDEN_SIMPLIFY
+    assert r3_scripts >= 15  # the R3 exploration, not only greedy R1/R2, is pinned

@@ -120,3 +120,26 @@ def test_bfs_path_golden(left_trefoil, unknot, small_knots):
                    budget=150)
     assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 151,
                              "note": "budget exhausted", "script": []}
+
+
+def test_bfs_path_mixed_b2_b3_golden(small_knots, unknot):
+    # Recorded before the search loops were merged into one explorer.
+    res = bfs_path(small_knots["3_1"], unknot, {"B2", "B3"})
+    assert res.to_json() == {"found": True, "moves_used": 1, "expansions": 1,
+                             "note": "", "script": [["switch", 0],
+                                                    ["r2-", 0, 2, 1, 4],
+                                                    ["r1-", 0]]}
+    res = bfs_path(small_knots["5_2"], unknot, {"B2", "B3"}, budget=400)
+    assert res.to_json() == {"found": True, "moves_used": 1, "expansions": 2,
+                             "note": "", "script": [["switch", 1],
+                                                    ["r2-", 1, 3, 2, 7],
+                                                    ["r1-", 0], ["r1-", 0],
+                                                    ["r1-", 0]]}
+    # The frontier empties before the budget does: 208 < 300 expansions.
+    res = bfs_path(small_knots["4_1"], small_knots["3_1"], {"B2", "B3"}, budget=300)
+    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 208,
+                             "note": "budget exhausted", "script": []}
+    res = bfs_path(small_knots["granny"], small_knots["square"], {"B2", "B3"},
+                   budget=150)
+    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 151,
+                             "note": "budget exhausted", "script": []}

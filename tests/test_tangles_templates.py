@@ -207,3 +207,25 @@ def test_enumerate_sites_deterministic(left_trefoil):
     b = enumerate_sites(left_trefoil, 3, cap=130)
     assert a == b
     assert len(a) <= 130 + len([c for c in a if c.kind != "insert"])
+
+
+def test_realize_by_lower_golden():
+    # Recorded before the search loops were merged into one explorer.
+    templates = builtin_templates()
+    assert realize_by_lower(templates[3], 2, budget=50_000) == [
+        ("switch", 0), ("r3", 1, 0, 2, 4, 3, 5), ("switch", 0)]
+    # Budget limits, not disproofs: order 4 is not reached within 3000.
+    assert realize_by_lower(templates[4], 2, budget=3000) is None
+    assert realize_by_lower(templates[4], 3, budget=3000) is None
+
+
+def test_brunnian_certificates_golden():
+    import hashlib
+    import json
+
+    templates = builtin_templates()
+    certs = {templates[k].name: templates[k].brunnian_certificates()
+             for k in sorted(templates)}
+    blob = json.dumps(certs, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "1ced6a75ce6086fe1577b2f3041f55692af9a158795732cf1d4d8faa54f71107"
