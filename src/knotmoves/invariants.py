@@ -99,27 +99,6 @@ _CURL_FACTORS = {
 }
 
 
-def _find_curl(frag: Fragment):
-    for ci, c in enumerate(frag.crossings):
-        for s in range(4):
-            if c.ends[s] == c.ends[(s + 1) % 4]:
-                return ci, s
-    return None
-
-
-def _remove_curl(frag: Fragment, ci: int, s: int) -> Fragment:
-    c = frag.crossings[ci]
-    joiner = _IdJoiner()
-    joiner.join(c.ends[(s + 2) % 4], c.ends[(s + 3) % 4])
-    rest = [x for i, x in enumerate(frag.crossings) if i != ci]
-    return Fragment(joiner.apply(rest), (), frag.free_loops + joiner.loops)
-
-
-def _find_r2(frag: Fragment):
-    sites = moves.r2_removal_sites(frag)
-    return sites[0][1:] if sites else None
-
-
 def _smooth_unoriented(frag: Fragment, ci: int, mode: str) -> Fragment:
     c = frag.crossings[ci]
     joiner = _IdJoiner()
@@ -176,16 +155,16 @@ def _bracket_raw(frag: Fragment) -> LaurentPolynomial:
     loops = frag.free_loops
     frag = Fragment(frag.crossings, (), 0)
     while True:
-        curl = _find_curl(frag)
-        if curl is not None:
-            ci, s = curl
-            factor = factor * _CURL_FACTORS[s % 2]
-            frag = _remove_curl(frag, ci, s)
+        curls = moves.r1_removal_sites(frag)
+        if curls:
+            ci = curls[0][1]
+            factor = factor * _CURL_FACTORS[moves._kink_slot(frag.crossings[ci]) % 2]
+            frag = moves.r1_remove(frag, ci)
         else:
-            r2 = _find_r2(frag)
-            if r2 is None:
+            bigons = moves.r2_removal_sites(frag)
+            if not bigons:
                 break
-            frag = moves.r2_remove(frag, *r2)
+            frag = moves.r2_remove(frag, *bigons[0][1:])
         loops += frag.free_loops
         frag = Fragment(frag.crossings, (), 0)
     if not frag.crossings:

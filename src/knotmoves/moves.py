@@ -12,9 +12,11 @@ it changes the knot and is used by the move engine as the order-3 rewrite.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram, _IdJoiner
 
@@ -52,9 +54,14 @@ def r1_removal_sites(frag: Fragment) -> list[tuple]:
     return sites
 
 
+def _kink_slot(c: Crossing) -> int | None:
+    """First slot s whose end is also the end at slot s + 1 (an R1 kink)."""
+    return next((s for s in range(4) if c.ends[s] == c.ends[(s + 1) % 4]), None)
+
+
 def r1_remove(frag: Fragment, ci: int) -> Fragment:
     c = frag.crossings[ci]
-    loop_slot = next((s for s in range(4) if c.ends[s] == c.ends[(s + 1) % 4]), None)
+    loop_slot = _kink_slot(c)
     if loop_slot is None:
         raise InapplicableMove(f"crossing {ci} carries no kink loop")
     p = c.ends[(loop_slot + 2) % 4]
@@ -336,6 +343,112 @@ def replay(frag: Fragment, script: Sequence[Sequence]) -> Fragment:
     return frag
 
 
+# -- bounded exploration -------------------------------------------------------
+
+class _Explorer:
+    """Bounded breadth-first (or best-first) exploration of move sequences.
+
+    Iterating yields ``(fragment, key, script)`` for every state whose key
+    is new, the start first; ``expansions`` is the running count of steps
+    tried.  ``steps(fragment)`` yields steps, tuples of move entries; each
+    counts as one expansion whether or not it applies, and the walk
+    stops once the frontier is empty or ``budget`` expansions are spent.
+    ``reduce(raw)`` returns ``(fragment, extra_script)`` or ``None`` to
+    reject the neighbour.  The frontier is FIFO, or a heap on
+    ``(score(fragment), n_crossings, arrival)`` when ``score`` is given.
+    A state is pushed after it is yielded, so a caller that stops at its
+    goal never pays for scoring it.
+
+    A neighbour whose exact state (crossing records, legs and free loops,
+    before ``reduce``) was already reached is skipped before ``reduce`` and
+    the key.  Reduction is deterministic in that state, so the first visit
+    already either rejected it or put its key into ``seen``: a repeat could
+    only be discarded, and since its expansion is counted first, scripts,
+    keys and expansion counts are the same as without the skip.
+    """
+
+    def __init__(self, start: Fragment, script: Script,
+                 key_fn: Callable[[Fragment], str],
+                 steps: Callable[[Fragment], Iterable[tuple]],
+                 reduce: Callable[[Fragment], tuple[Fragment, Script] | None],
+                 budget: int, score: Callable[[Fragment], int] | None = None):
+        self.start, self.script = start, script
+        self.key_fn, self.steps, self.reduce = key_fn, steps, reduce
+        self.budget, self.score = budget, score
+        self.expansions = 0
+
+    def __iter__(self):
+        key_fn, budget, score = self.key_fn, self.budget, self.score
+        frontier: deque | list = deque() if score is None else []
+        arrival = itertools.count()
+
+        def push(frag, script):
+            if score is None:
+                frontier.append((frag, script))
+            else:
+                rank = (score(frag), frag.n_crossings, next(arrival))
+                heapq.heappush(frontier, (rank, frag, script))
+
+        def pop():
+            return frontier.popleft() if score is None else heapq.heappop(frontier)[1:]
+
+        key = key_fn(self.start)
+        seen = {key}
+        reached: set[tuple] = set()
+        yield self.start, key, self.script
+        push(self.start, self.script)
+        while frontier and self.expansions < budget:
+            cur, script = pop()
+            for step in self.steps(cur):
+                self.expansions += 1
+                if self.expansions > budget:
+                    break
+                try:
+                    nxt = replay(cur, step)
+                except (InapplicableMove, MalformedDiagram):
+                    continue
+                state = (nxt.crossings, nxt.legs, nxt.free_loops)
+                if state in reached:
+                    continue
+                reached.add(state)
+                reduced = self.reduce(nxt)
+                if reduced is None:
+                    continue
+                nxt, extra = reduced
+                key = key_fn(nxt)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nscript = script + list(step) + extra
+                yield nxt, key, nscript
+                push(nxt, nscript)
+
+
+def _switch_steps(frag: Fragment):
+    return ((("switch", ci),) for ci in range(frag.n_crossings))
+
+
+def _r3_steps(frag: Fragment):
+    return ((site,) for site in triangle_slide_sites(frag, "r3"))
+
+
+def _delta_steps(frag: Fragment):
+    """Triangle flips, then each R2 push followed by a flip it enables."""
+    for site in triangle_slide_sites(frag, "delta"):
+        yield (site,)
+    for prep in r2_add_sites(frag):
+        try:
+            prepped = r2_add(frag, *prep[1:])
+        except (InapplicableMove, MalformedDiagram):
+            continue
+        for site in triangle_slide_sites(prepped, "delta"):
+            yield (prep, site)
+
+
+def _canonical_key(d: Diagram) -> str:
+    return d.canonical_key
+
+
 # -- simplification -----------------------------------------------------------
 
 def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
@@ -358,54 +471,21 @@ def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
 
     Never returns a fragment with more crossings than the input; ties are
     broken by the canonical key for determinism.
-
-    R3 slides that land on an exact state (crossing records, legs and free
-    loops) already reached in this exploration are skipped before the
-    greedy reduction and the key.  Reduction is deterministic in that
-    state, so the first visit already put the reduced key into ``seen``
-    and a repeat could only be discarded; results are unchanged.
     """
     start, script = greedy_reduce(frag)
-    best = (start.n_crossings, key_fn(start), start, script)
-    frontier = deque([(start, script)])
-    seen = {best[1]}
-    reached: set[tuple] = set()
-    expansions = 0
-    while frontier and expansions < r3_budget:
-        cur, cur_script = frontier.popleft()
-        for site in triangle_slide_sites(cur, "r3"):
-            expansions += 1
-            if expansions > r3_budget:
-                break
-            try:
-                nxt = triangle_slide(cur, *site[1:])
-            except (InapplicableMove, MalformedDiagram):
-                continue
-            state = (nxt.crossings, nxt.legs, nxt.free_loops)
-            if state in reached:
-                continue
-            reached.add(state)
-            nxt, extra = greedy_reduce(nxt)
-            key = key_fn(nxt)
-            if key in seen:
-                continue
-            seen.add(key)
-            nxt_script = cur_script + [site] + extra
-            cand = (nxt.n_crossings, key, nxt, nxt_script)
-            if cand[:2] < best[:2]:
-                best = cand
-            frontier.append((nxt, nxt_script))
-    return best[2], best[3]
+    walk = _Explorer(start, script, key_fn, _r3_steps, greedy_reduce, r3_budget)
+    best, _, best_script = min(walk, key=lambda s: (s[0].n_crossings, s[1]))
+    return best, best_script
 
 
 def simplify(d: Diagram, r3_budget: int = 1000) -> Diagram:
     """R-move simplification of a knot diagram (never increases crossings)."""
-    out, _ = simplify_fragment(d, lambda f: f.canonical_key, r3_budget)  # type: ignore[attr-defined]
+    out, _ = simplify_fragment(d, _canonical_key, r3_budget)
     return out  # type: ignore[return-value]
 
 
 def simplify_with_script(d: Diagram, r3_budget: int = 1000) -> tuple[Diagram, Script]:
-    out, script = simplify_fragment(d, lambda f: f.canonical_key, r3_budget)  # type: ignore[attr-defined]
+    out, script = simplify_fragment(d, _canonical_key, r3_budget)
     return out, script  # type: ignore[return-value]
 
 

@@ -26,11 +26,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, MalformedDiagram, _IdJoiner
-from .moves import (InapplicableMove, Script, apply_move, greedy_reduce, replay,
-                    triangle_slide, triangle_slide_sites)
+from .moves import (InapplicableMove, Script, _delta_steps, _Explorer, _r3_steps,
+                    _switch_steps, apply_move, greedy_reduce, replay, triangle_slide,
+                    triangle_slide_sites)
 from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
                       tangle_key)
 
@@ -519,8 +521,6 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
             per_edge[edge] = used + take
         if len(slots) < k:
             continue
-        from itertools import combinations
-
         for combo in combinations(range(len(slots)), k):
             group = [slots[i] for i in combo]
             edge_use: dict[int, int] = {}
@@ -599,53 +599,28 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
         raise ValueError("l must not exceed the template order")
     if l == template.k:
         return [("template", template.name)]
-    goal, goal_script = simplify_tangle(template.after)
+    goal, _ = simplify_tangle(template.after)
     goal_key = tangle_key(goal)
     start, start_script = simplify_tangle(template.before)
-    frontier: list[tuple[Tangle, Script]] = [(start, list(start_script))]
-    seen = {tangle_key(start)}
-    expansions = 0
     cap = template.before.n_crossings + 4
-    while frontier and expansions < budget:
-        cur, script = frontier.pop(0)
-        steps: list[Script] = []
+
+    def steps(t: Fragment):
         if l == 2:
-            steps.extend([("switch", ci)] for ci in range(cur.n_crossings))
+            yield from _switch_steps(t)
         if l == 3:
-            steps.extend([("delta",) + tuple(s[1:])]
-                         for s in triangle_slide_sites(cur, "delta"))
-            from .moves import r2_add, r2_add_sites
-            for prep in r2_add_sites(cur):
-                try:
-                    prepped = r2_add(cur, *prep[1:])
-                except (InapplicableMove, MalformedDiagram):
-                    continue
-                steps.extend([prep, ("delta",) + tuple(s[1:])]
-                             for s in triangle_slide_sites(prepped, "delta"))
-        steps.extend([("r3",) + tuple(s[1:])]
-                     for s in triangle_slide_sites(cur, "r3"))
-        for step in steps:
-            expansions += 1
-            if expansions > budget:
-                break
-            try:
-                nxt = cur
-                for entry in step:
-                    nxt = apply_move(nxt, entry)
-            except (InapplicableMove, MalformedDiagram):
-                continue
-            nxt2, extra = greedy_reduce(nxt)
-            nxt2 = Tangle(nxt2.crossings, nxt2.legs, nxt2.free_loops)
-            if nxt2.n_crossings > cap:
-                continue
-            key = tangle_key(nxt2)
-            if key in seen:
-                continue
-            seen.add(key)
-            nscript = script + step + list(extra)
-            if key == goal_key:
-                return nscript
-            frontier.append((nxt2, nscript))
+            yield from _delta_steps(t)
+        yield from _r3_steps(t)
+
+    def reduce(t: Fragment):
+        t, extra = greedy_reduce(t)
+        t = Tangle(t.crossings, t.legs, t.free_loops)
+        return None if t.n_crossings > cap else (t, extra)
+
+    walk = _Explorer(start, list(start_script), tangle_key, steps, reduce, budget)
+    # The start is skipped, never tested against the goal.
+    for _, key, script in islice(walk, 1, None):
+        if key == goal_key:
+            return script
     return None
 
 

@@ -171,8 +171,8 @@ def test_face_walks_cache_matches_fresh(left_trefoil):
 
 
 # Digest of (script, canonical key) of simplify_with_script on every corpus
-# knot after 12 random R-moves, recorded before the search loops were
-# merged into one explorer; the merge must leave every entry unchanged.
+# knot after 12 random R-moves.  Scripts name crossing indices and edge ids,
+# so any change to the order of the R3 exploration shows up here.
 GOLDEN_SIMPLIFY = {
     "3_1/0": "0c54ec82b1eb72f5", "3_1/1": "a94414911893cbde", "3_1/2": "99ff6d2cf79ece99",
     "3_1+4_1/0": "85956bc5caae25ee", "3_1+4_1/1": "12d9537ccef5cd06", "3_1+4_1/2": "b340f08239fea48b",

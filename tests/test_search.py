@@ -123,7 +123,6 @@ def test_bfs_path_golden(left_trefoil, unknot, small_knots):
 
 
 def test_bfs_path_mixed_b2_b3_golden(small_knots, unknot):
-    # Recorded before the search loops were merged into one explorer.
     res = bfs_path(small_knots["3_1"], unknot, {"B2", "B3"})
     assert res.to_json() == {"found": True, "moves_used": 1, "expansions": 1,
                              "note": "", "script": [["switch", 0],

@@ -210,7 +210,6 @@ def test_enumerate_sites_deterministic(left_trefoil):
 
 
 def test_realize_by_lower_golden():
-    # Recorded before the search loops were merged into one explorer.
     templates = builtin_templates()
     assert realize_by_lower(templates[3], 2, budget=50_000) == [
         ("switch", 0), ("r3", 1, 0, 2, 4, 3, 5), ("switch", 0)]
