@@ -97,6 +97,64 @@ def test_conway_anchors(unknot, right_trefoil):
     assert conway(parse_dt("4 6 8 2")) == L({0: 1, 2: -1})
 
 
+# Conway polynomials as pairs (exponent of z, coefficient), recorded with the
+# switch-and-smooth skein recursion; any later route must reproduce them.
+GOLDEN_CONWAY = {
+    "unknot": [[0, 1]],
+    "3_1": [[0, 1], [2, 1]],
+    "4_1": [[0, 1], [2, -1]],
+    "5_1": [[0, 1], [2, 3], [4, 1]],
+    "5_2": [[0, 1], [2, 2]],
+    "6_1": [[0, 1], [2, -2]],
+    "6_2": [[0, 1], [2, -1], [4, -1]],
+    "6_3": [[0, 1], [2, 1], [4, 1]],
+    "7_1": [[0, 1], [2, 6], [4, 5], [6, 1]],
+    "7_2": [[0, 1], [2, 3]],
+    "7_3": [[0, 1], [2, 5], [4, 2]],
+    "7_4": [[0, 1], [2, 4]],
+    "7_5": [[0, 1], [2, 4], [4, 2]],
+    "7_6": [[0, 1], [2, 1], [4, -1]],
+    "7_7": [[0, 1], [2, -1], [4, 1]],
+    "dt8a": [[0, 1], [2, -3]],
+    "dt8b": [[0, 1], [4, -3], [6, -1]],
+    "dt8c": [[0, 1], [2, -1], [4, -2]],
+    "dt8d": [[0, 1], [4, -2]],
+    "dt8e": [[0, 1], [2, 2], [4, 2]],
+    "dt8f": [[0, 1], [2, 5], [4, 2]],
+    "granny": [[0, 1], [2, 2], [4, 1]],
+    "square": [[0, 1], [2, 2], [4, 1]],
+    "3_1+4_1": [[0, 1], [4, -1]],
+    "4_1+4_1": [[0, 1], [2, -2], [4, 1]],
+    "3_1+5_1": [[0, 1], [2, 4], [4, 4], [6, 1]],
+    "3_1+5_2": [[0, 1], [2, 3], [4, 2]],
+    "3_1+6_1": [[0, 1], [2, -1], [4, -2]],
+    "4_1+5_2": [[0, 1], [2, 1], [4, -2]],
+    "7_1#7_1": [[0, 1], [2, 12], [4, 46], [6, 62], [8, 37], [10, 10], [12, 1]],
+    "5_2#6_2*": [[0, 1], [2, 1], [4, -3], [6, -2]],
+}
+
+
+def test_conway_golden_corpus_and_sums(knots):
+    sums = {"7_1#7_1": knots["7_1"].connected_sum(knots["7_1"]),
+            "5_2#6_2*": knots["5_2"].connected_sum(knots["6_2"].mirror())}
+    diagrams = {**knots, **sums}
+    assert sorted(diagrams) == sorted(GOLDEN_CONWAY)
+    for name, d in diagrams.items():
+        assert conway(d).to_pairs() == GOLDEN_CONWAY[name], name
+
+
+def test_conway_golden_perturbed(knots):
+    sizes = []
+    for i, name in enumerate(sorted(knots)):
+        for seed in (i, 100 + i):
+            p = random_perturb(knots[name], 40, seed=seed, max_extra=10)
+            if p.n_crossings > 17:
+                continue
+            sizes.append(p.n_crossings)
+            assert conway(p).to_pairs() == GOLDEN_CONWAY[name], (name, seed)
+    assert len(sizes) == 35 and sizes.count(17) == 12
+
+
 def test_conway_multiplicative_on_sums(right_trefoil):
     fig8 = parse_dt("4 6 8 2")
     s = right_trefoil.connected_sum(fig8)
