@@ -3,6 +3,7 @@
 from .diagram import (
     Crossing,
     Diagram,
+    DTCapExceeded,
     Fragment,
     MalformedDiagram,
     NotRealizable,
@@ -20,6 +21,7 @@ from .templates import Chord, MoveTemplate, SingularFamily, builtin_templates
 __all__ = [
     "Chord",
     "Crossing",
+    "DTCapExceeded",
     "Diagram",
     "Fragment",
     "GaussDiagram",

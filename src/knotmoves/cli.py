@@ -19,7 +19,7 @@ from .corpus import corpus
 from .diagram import Diagram, MalformedDiagram, NotRealizable, parse_dt, parse_pd
 from .finitetype import (delta_v2_witness, group_checks, move_invariance_report,
                          verify_type)
-from .invariants import (BRACKET_CROSSING_LIMIT, conway, jones, vassiliev_report)
+from .invariants import vassiliev_report
 from .moves import replay
 from .search import bfs_path, delta_unknot, replay_path
 from .templates import builtin_templates, realize_by_lower, replay_tangle_script
@@ -89,13 +89,9 @@ class Cache:
 
 def _knot_payload(d: Diagram) -> dict:
     rep = vassiliev_report(d)
-    payload = {"v2": rep["v2"], "v3": rep["v3"], "crosschecks": rep["crosschecks"],
-               "conway": conway(d).to_pairs()}
-    if d.n_crossings <= BRACKET_CROSSING_LIMIT:
-        payload["jones"] = jones(d).to_pairs()
-    else:
-        payload["jones"] = None
-    return payload
+    return {"v2": rep["v2"], "v3": rep["v3"], "crosschecks": rep["crosschecks"],
+            "conway": rep["conway"].to_pairs(),
+            "jones": None if rep["jones"] is None else rep["jones"].to_pairs()}
 
 
 def cmd_invariants(args, out) -> int:

@@ -31,6 +31,13 @@ class NotRealizable(ValueError):
     """Raised when a DT code admits no planar realization."""
 
 
+class DTCapExceeded(ValueError):
+    """Raised when a DT code is too long for the realizability search.
+
+    A limit of the search, not a fact about the code: it may be realizable.
+    """
+
+
 class Crossing(NamedTuple):
     """One crossing: edge ids at slots 0..3 ccw; slots (0,2) carry the under strand."""
 
@@ -285,15 +292,27 @@ class Diagram(Fragment):
 
     @cached_property
     def knot_walk(self) -> list[Dart]:
-        """Canonical traversal: starts at the basepoint edge with dir 0."""
+        """Canonical traversal: starts at the basepoint edge with dir 0.
+
+        When the basepoint edge is a kink loop, both of its ends sit at one
+        crossing and dir 0 is arbitrary; the walk then follows the PD
+        convention instead, arriving at an under end in slot 0 or leaving
+        one in slot 2.
+        """
         if not self.crossings:
             return []
+        occ = self.occurrences[self.basepoint]
+        d = 0
+        if occ[0][1] == occ[1][1]:
+            under = 0 if occ[0][2] % 2 == 0 else 1
+            d = 1 - under if occ[under][2] == 0 else under
+        start: Dart = (self.basepoint, d)
         walk = []
-        cur: Dart = (self.basepoint, 0)
+        cur = start
         while True:
             walk.append(cur)
             cur = self._next_strand_dart(cur)
-            if cur == (self.basepoint, 0):
+            if cur == start:
                 return walk
 
     @cached_property
@@ -479,7 +498,9 @@ def parse_dt(text: str) -> Diagram:
 
     Entry ``a_i`` pairs odd position 2i-1 with even position ``|a_i|``; the
     passage at the even position goes over exactly when the entry is
-    positive.  Codes without a planar realization are rejected.
+    positive.  Codes without a planar realization raise NotRealizable;
+    codes of more than 14 crossings raise DTCapExceeded, since the search
+    over orientation patterns is capped there.
     """
     stripped = text.strip()
     if not stripped:
@@ -495,36 +516,51 @@ def parse_dt(text: str) -> Diagram:
     if sorted(evens) != list(range(2, 2 * n + 1, 2)):
         raise MalformedDiagram("DT even entries must be 2,4,...,2n in some order")
     if n > 14:
-        raise NotRealizable("DT realizability search capped at 14 crossings")
+        raise DTCapExceeded("DT realizability search capped at 14 crossings")
 
     # Positions 1..2n around the circle; edge j runs from position j to j+1.
+    # Crossing i has one record per orientation bit: bit 0 puts the outgoing
+    # over edge at slot 1, bit 1 the incoming one.
     def edge_before(p: int) -> int:
         return 2 * n if p == 1 else p - 1
 
-    pairs = []
+    ends = []
     for i, a in enumerate(entries):
         odd = 2 * i + 1
         even = abs(a)
         over, under = (even, odd) if a > 0 else (odd, even)
-        pairs.append((under, over))
+        u_in, u_out = edge_before(under), under
+        o_in, o_out = edge_before(over), over
+        ends.append(((u_in, o_out, u_out, o_in), (u_in, o_in, u_out, o_out)))
 
-    def build(bits: tuple[int, ...]) -> list[Crossing]:
-        crossings = []
-        for (under, over), bit in zip(pairs, bits):
-            u_in, u_out = edge_before(under), under
-            o_in, o_out = edge_before(over), over
-            if bit:
-                ends = (u_in, o_in, u_out, o_out)
+    # Faces are the orbits of the left-turn map on the 4n slot positions: a
+    # slot goes to the other end of its edge, then one slot ccw.
+    m = 4 * n
+    ccw = [p - p % 4 + (p + 1) % 4 for p in range(m)]
+
+    def n_faces(flat: list[int]) -> int:
+        first = [-1] * (2 * n + 1)
+        turn = [0] * m
+        for p, e in enumerate(flat):
+            q = first[e]
+            if q < 0:
+                first[e] = p
             else:
-                ends = (u_in, o_out, u_out, o_in)
-            crossings.append(Crossing(ends))
-        return crossings
+                turn[p], turn[q] = ccw[q], ccw[p]
+        seen = bytearray(m)
+        faces = 0
+        for p in range(m):
+            if not seen[p]:
+                faces += 1
+                while not seen[p]:
+                    seen[p] = 1
+                    p = turn[p]
+        return faces
 
     for bits in product((0, 1), repeat=n - 1):
-        crossings = build((0,) + bits)
-        frag = Fragment(crossings)
-        if len(frag.face_walks()) == n + 2:
-            return Diagram(crossings, basepoint=1)
+        records = [ends[0][0]] + [e[bit] for e, bit in zip(ends[1:], bits)]
+        if n_faces([e for rec in records for e in rec]) == n + 2:
+            return Diagram([Crossing(rec) for rec in records], basepoint=1)
     raise NotRealizable(f"DT code {text!r} has no planar realization")
 
 

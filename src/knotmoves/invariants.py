@@ -3,13 +3,13 @@
 Two independent computation routes back every Vassiliev value reported by
 this package: the Gauss-diagram counts live in :mod:`knotmoves.gauss`, and
 this module supplies the polynomial side (Kauffman bracket / Jones and the
-Conway polynomial via skein recursion on oriented link states).
+Conway polynomial from an Alexander-matrix determinant).
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import NamedTuple
 
 from . import moves
 from .diagram import Diagram, Fragment, _IdJoiner
@@ -18,20 +18,12 @@ from .poly import LaurentPolynomial
 _A = LaurentPolynomial.monomial(1)
 _Ainv = LaurentPolynomial.monomial(-1)
 _DELTA = LaurentPolynomial({2: -1, -2: -1})
-_Z = LaurentPolynomial.monomial(1)
 
 BRACKET_CROSSING_LIMIT = 20
 
 
 class CrossingLimitExceeded(ValueError):
     pass
-
-
-class SkeinBudgetExceeded(ValueError):
-    pass
-
-
-CONWAY_STATE_BUDGET = 500_000
 
 
 class _Memo:
@@ -212,207 +204,132 @@ def jones(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> LaurentPolynomial:
     return LaurentPolynomial(terms)
 
 
-# -- Conway polynomial via skein recursion -------------------------------------
+# -- Conway polynomial via the Alexander matrix ---------------------------------
 
-class _OCrossing(NamedTuple):
-    """Directed crossing: slot 0 is the incoming under edge.
+def _alexander_rows(d: Diagram, t: int) -> list[list[int]]:
+    """Fox-calculus rows of the Wirtinger presentation, evaluated at t.
 
-    sign +1 means the over strand enters at slot 3 and leaves at slot 1;
-    sign -1 the reverse.
+    Arc k runs from the k-th underpass of the traversal to the next one.
+    Crossing c gives (1 - t) on its over arc and t, -1 on its incoming and
+    outgoing under arcs (swapped for negative crossings); entries add up
+    where arcs coincide, as at kinks.
     """
-
-    ends: tuple[int, int, int, int]
-    sign: int
-
-    def in_slots(self) -> tuple[int, int]:
-        return (0, 3 if self.sign > 0 else 1)
-
-    def switched(self) -> "_OCrossing":
-        e = self.ends
-        if self.sign > 0:
-            return _OCrossing((e[3], e[0], e[1], e[2]), -1)
-        return _OCrossing((e[1], e[2], e[3], e[0]), 1)
-
-
-class _OState(NamedTuple):
-    crossings: tuple[_OCrossing, ...]
-    free_loops: int
-
-
-def _orient(d: Diagram) -> _OState:
-    arrivals: dict[int, list[int]] = {}
+    n = d.n_crossings
+    rows = [[0] * n for _ in range(n)]
+    arc = 0
     for ci, slot in d.passages:
-        arrivals.setdefault(ci, []).append(slot)
-    ocs = []
-    for ci, c in enumerate(d.crossings):
-        u_in = next(s for s in arrivals[ci] if s % 2 == 0)
-        o_in = next(s for s in arrivals[ci] if s % 2 == 1)
-        rotated = c.rotated(u_in)
-        sign = 1 if (o_in - u_in) % 4 == 3 else -1
-        ocs.append(_OCrossing(rotated.ends, sign))
-    return _OState(tuple(ocs), d.free_loops)
+        row = rows[ci]
+        if slot % 2:
+            row[arc % n] += 1 - t
+        else:
+            in_w, out_w = (t, -1) if d.signs[ci] > 0 else (-1, t)
+            row[arc % n] += in_w
+            arc += 1
+            row[arc % n] += out_w
+    return rows
 
 
-def _oriented_maps(state: _OState):
-    head: dict[int, tuple[int, int]] = {}
-    tail: dict[int, tuple[int, int]] = {}
-    for ci, oc in enumerate(state.crossings):
-        ins = oc.in_slots()
-        for s in range(4):
-            e = oc.ends[s]
-            if s in ins:
-                head[e] = (ci, s)
-            else:
-                tail[e] = (ci, s)
-    return head, tail
+def _det(m: list[list[int]]) -> int:
+    """Integer determinant by fraction-free Bareiss elimination (m is consumed)."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
-def _ostate_components(state: _OState) -> list[list[int]]:
-    head, _ = _oriented_maps(state)
-    comps = []
-    visited: set[int] = set()
-    edges = sorted(head)
-    for e0 in edges:
-        if e0 in visited:
-            continue
-        comp = []
-        e = e0
-        while e not in visited:
-            visited.add(e)
-            comp.append(e)
-            ci, s = head[e]
-            oc = state.crossings[ci]
-            if s == 0:
-                out = 2
-            elif s == 3:
-                out = 1
-            else:
-                out = 3
-            e = oc.ends[out]
-        comps.append(comp)
-    return comps
+def _interpolate(values: list[int]) -> list[int]:
+    """Integer coefficients, low to high, of the polynomial p with p(t) = values[t].
 
-
-def _ostate_key(state: _OState) -> str:
-    head, _ = _oriented_maps(state)
-    label: dict[int, int] = {}
-    parts = []
-    for comp in _ostate_components(state):
-        cpart = []
-        for e in comp:
-            ci, s = head[e]
-            lab = label.setdefault(ci, len(label))
-            kind = "u" if s == 0 else "o"
-            cpart.append(f"{lab}{kind}{'+' if state.crossings[ci].sign > 0 else '-'}")
-        parts.append(",".join(cpart))
-    return f"L{state.free_loops}|" + "|".join(parts)
-
-
-def _first_violation(state: _OState):
-    """First crossing whose first passage in the component scan is an underpass."""
-    head, _ = _oriented_maps(state)
-    seen: set[int] = set()
-    for comp in _ostate_components(state):
-        for e in comp:
-            ci, s = head[e]
-            if ci in seen:
-                continue
-            seen.add(ci)
-            if s == 0:
-                return ci
-    return None
-
-
-def _osmooth(state: _OState, ci: int) -> _OState:
-    oc = state.crossings[ci]
-    e = oc.ends
-    joins = [(e[0], e[1]), (e[3], e[2])] if oc.sign > 0 else [(e[0], e[3]), (e[1], e[2])]
-    joiner = _IdJoiner()
-    for u, v in joins:
-        joiner.join(u, v)
-    rest = []
-    for i, o in enumerate(state.crossings):
-        if i == ci:
-            continue
-        rest.append(_OCrossing(tuple(joiner.find(x) for x in o.ends), o.sign))
-    return _OState(tuple(rest), state.free_loops + joiner.loops)
-
-
-def _oswitch(state: _OState, ci: int) -> _OState:
-    crossings = list(state.crossings)
-    crossings[ci] = crossings[ci].switched()
-    return _OState(tuple(crossings), state.free_loops)
-
-
-def _oreduce_curls(state: _OState) -> _OState:
-    # Conway is R1-invariant, so curls are stripped without a factor.
-    changed = True
-    while changed:
-        changed = False
-        for ci, oc in enumerate(state.crossings):
-            for s in range(4):
-                if oc.ends[s] == oc.ends[(s + 1) % 4]:
-                    joiner = _IdJoiner()
-                    joiner.join(oc.ends[(s + 2) % 4], oc.ends[(s + 3) % 4])
-                    rest = [
-                        _OCrossing(tuple(joiner.find(x) for x in o.ends), o.sign)
-                        for i, o in enumerate(state.crossings) if i != ci
-                    ]
-                    state = _OState(tuple(rest), state.free_loops + joiner.loops)
-                    changed = True
-                    break
-            if changed:
-                break
-    return state
-
-
-_conway_memo = _Memo()
-
-
-def _conway_state(state: _OState, meter: list[int]) -> LaurentPolynomial:
-    meter[0] += 1
-    if meter[0] > meter[1]:
-        raise SkeinBudgetExceeded(
-            f"skein recursion exceeded {meter[1]} states")
-    state = _oreduce_curls(state)
-    n_comps = len(_ostate_components(state)) + state.free_loops
-    if state.free_loops and n_comps > 1:
-        return LaurentPolynomial.zero()
-    if not state.crossings:
-        return LaurentPolynomial.one() if n_comps == 1 else LaurentPolynomial.zero()
-    key = _ostate_key(state)
-    cached = _conway_memo.get(key)
-    if cached is not None:
-        return cached
-    ci = _first_violation(state)
-    if ci is None:
-        value = LaurentPolynomial.one() if n_comps == 1 else LaurentPolynomial.zero()
-    else:
-        sign = state.crossings[ci].sign
-        value = _conway_state(_oswitch(state, ci), meter) \
-            + sign * _Z * _conway_state(_osmooth(state, ci), meter)
-    return _conway_memo.put(key, value)
-
-
-def conway(d: Diagram, budget: int = CONWAY_STATE_BUDGET) -> LaurentPolynomial:
-    """Conway polynomial in z, via switch-and-smooth skein recursion.
-
-    `budget` bounds the number of skein states visited; exceeding it raises
-    SkeinBudgetExceeded.
+    Newton form: the k-th forward difference at 0 is k! times an integer
+    when p has integer coefficients, so every division is exact.
     """
-    return _conway_state(_orient(d), [0, budget])
+    newton = []
+    diffs = list(values)
+    while diffs:
+        newton.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        c, rem = divmod(newton[k], math.factorial(k))
+        if rem:
+            raise AssertionError("Alexander minor is not an integer polynomial")
+        # coeffs * (t - k) + c
+        nxt = [0] + coeffs
+        for i, a in enumerate(coeffs):
+            nxt[i] -= k * a
+        nxt[0] += c
+        coeffs = nxt
+    return coeffs
+
+
+def conway(d: Diagram) -> LaurentPolynomial:
+    """Conway polynomial in z, from the Alexander polynomial.
+
+    Any (n-1)-minor of the Alexander matrix is Delta(t) up to a unit
+    +-t^k.  It is evaluated at t = 0..n-1 and interpolated exactly, then
+    normalized so that Delta(t) = Delta(1/t) and Delta(1) = 1, and rewritten
+    through t^k + t^-k = s_k(z), where s_0 = 2, s_1 = z^2 + 2 and
+    s_{k+1} = (z^2 + 2) s_k - s_{k-1}.
+    """
+    if not d.crossings:
+        return LaurentPolynomial.one()
+    values = []
+    for t in range(d.n_crossings):
+        minor = [row[:-1] for row in _alexander_rows(d, t)[:-1]]
+        values.append(_det(minor))
+    coeffs = _interpolate(values)
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    coeffs = coeffs[nonzero[0]:nonzero[-1] + 1] if nonzero else []
+    if sum(coeffs) not in (1, -1) or len(coeffs) % 2 == 0 or coeffs != coeffs[::-1]:
+        raise AssertionError(f"not a knot's Alexander polynomial: {coeffs}")
+    if sum(coeffs) < 0:
+        coeffs = [-c for c in coeffs]
+    mid = len(coeffs) // 2
+    z2_plus_2 = LaurentPolynomial({0: 2, 2: 1})
+    prev, cur = LaurentPolynomial({0: 2}), z2_plus_2
+    nabla = LaurentPolynomial({0: coeffs[mid]})
+    for k in range(1, mid + 1):
+        nabla = nabla + coeffs[mid + k] * cur
+        prev, cur = cur, z2_plus_2 * cur - prev
+    return nabla
 
 
 # -- derived Vassiliev values ---------------------------------------------------
 
-def _jones_int_exponents(d: Diagram) -> LaurentPolynomial:
-    v = jones(d)
+def _jones_int_exponents(v: LaurentPolynomial) -> LaurentPolynomial:
     terms = {}
     for half, coeff in v.items():
         if half % 2:
             raise AssertionError("knot Jones polynomial has half-integer exponent")
         terms[half // 2] = coeff
     return LaurentPolynomial(terms)
+
+
+def _v2_from_jones(v: LaurentPolynomial) -> int:
+    num = _jones_int_exponents(v).derivative_at_one(2)
+    if num % 6:
+        raise AssertionError("V''(1) not divisible by 6")
+    return -num // 6
+
+
+def _v3_from_jones(v: LaurentPolynomial) -> int:
+    j = _jones_int_exponents(v)
+    num = j.derivative_at_one(3) + 3 * j.derivative_at_one(2)
+    if num % 36:
+        raise AssertionError("V'''(1) + 3V''(1) not divisible by 36")
+    return -num // 36
 
 
 def v2_conway(d: Diagram) -> int:
@@ -422,36 +339,28 @@ def v2_conway(d: Diagram) -> int:
 
 def v2_jones(d: Diagram) -> int:
     """Order-2 probe from Jones: -V''(1)/6."""
-    j = _jones_int_exponents(d)
-    num = j.derivative_at_one(2)
-    if num % 6:
-        raise AssertionError("V''(1) not divisible by 6")
-    return -num // 6
+    return _v2_from_jones(jones(d))
 
 
 def v3_jones(d: Diagram) -> int:
     """Order-3 probe from Jones: -(V'''(1) + 3 V''(1))/36."""
-    j = _jones_int_exponents(d)
-    num = j.derivative_at_one(3) + 3 * j.derivative_at_one(2)
-    if num % 36:
-        raise AssertionError("V'''(1) + 3V''(1) not divisible by 36")
-    return -num // 36
+    return _v3_from_jones(jones(d))
 
 
 def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT) -> dict:
     """v2 and v3 from the Gauss-diagram route, with polynomial cross-checks.
 
     The Jones-derived checks are skipped (reported as None) above the
-    bracket crossing limit; the Conway check always runs.
+    bracket crossing limit; the Conway check always runs.  The report also
+    carries the polynomials the checks used: "conway", and "jones" (None
+    above the limit).
     """
     from . import gauss
 
     g2, g3 = gauss.v2(d), gauss.v3(d)
-    checks = {"v2_conway": g2 == v2_conway(d)}
-    if d.n_crossings <= jones_limit:
-        checks["v2_jones"] = g2 == v2_jones(d)
-        checks["v3_jones"] = g3 == v3_jones(d)
-    else:
-        checks["v2_jones"] = None
-        checks["v3_jones"] = None
-    return {"v2": g2, "v3": g3, "crosschecks": checks}
+    nabla = conway(d)
+    v = jones(d) if d.n_crossings <= jones_limit else None
+    checks = {"v2_conway": g2 == nabla.coeff(2),
+              "v2_jones": None if v is None else g2 == _v2_from_jones(v),
+              "v3_jones": None if v is None else g3 == _v3_from_jones(v)}
+    return {"v2": g2, "v3": g3, "crosschecks": checks, "conway": nabla, "jones": v}

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotmoves.diagram import (Diagram, MalformedDiagram, NotRealizable, emit_dt,
-                               emit_pd, parse_dt, parse_pd)
+from knotmoves.diagram import (Diagram, DTCapExceeded, MalformedDiagram, NotRealizable,
+                               emit_dt, emit_pd, parse_dt, parse_pd)
 from knotmoves.gauss import to_gauss
 from knotmoves.moves import random_perturb
 
@@ -149,7 +149,9 @@ def test_unknot_sum_is_identity_after_simplify(knots):
 
 
 def test_dt_round_trips():
-    for code in ["4 6 2", "4 6 8 2", "6 8 10 2 4", "4 8 12 2 14 6 10"]:
+    # The last code has a kink at its basepoint edge.
+    for code in ["4 6 2", "4 6 8 2", "6 8 10 2 4", "4 8 12 2 14 6 10",
+                 "-2 10 4 14 12 -6 -8"]:
         d = parse_dt(code)
         assert emit_dt(d) == code
         assert d.is_planar()
@@ -164,6 +166,15 @@ def test_dt_errors():
         parse_dt("4 6 10")  # not a permutation of 2..2n
     with pytest.raises(NotRealizable):
         parse_dt("4 10 12 16 14 2 8 6")
+
+
+def test_dt_cap_is_not_a_realizability_verdict(knots):
+    # Emitted from a 15-crossing diagram, so the code is realizable.
+    code = emit_dt(knots["7_1"].connected_sum(knots["dt8a"]))
+    assert len(code.split()) == 15
+    with pytest.raises(DTCapExceeded, match="capped at 14 crossings") as info:
+        parse_dt(code)
+    assert not isinstance(info.value, NotRealizable)
 
 
 def test_gauss_of_trefoil(left_trefoil):
