@@ -359,7 +359,7 @@ def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT) -> d
 
     g2, g3 = gauss.v2(d), gauss.v3(d)
     nabla = conway(d)
-    v = jones(d) if d.n_crossings <= jones_limit else None
+    v = jones(d, jones_limit) if d.n_crossings <= jones_limit else None
     checks = {"v2_conway": g2 == nabla.coeff(2),
               "v2_jones": None if v is None else g2 == _v2_from_jones(v),
               "v3_jones": None if v is None else g3 == _v3_from_jones(v)}

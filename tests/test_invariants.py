@@ -215,6 +215,16 @@ def test_vassiliev_report(right_trefoil, unknot):
     assert rep["v2"] == 2 and rep["v3"] == 2
 
 
+def test_vassiliev_report_jones_limit_above_default(knots):
+    d = knots["3_1"].connected_sum(knots["7_1"]).connected_sum(knots["dt8a"])
+    d = d.connected_sum(knots["3_1"])
+    assert d.n_crossings == 21
+    assert vassiliev_report(d)["crosschecks"]["v2_jones"] is None
+    rep = vassiliev_report(d, jones_limit=21)
+    assert rep["crosschecks"] == {"v2_conway": True, "v2_jones": True, "v3_jones": True}
+    assert rep["jones"] == jones(d, limit=21)
+
+
 def test_parallel_evaluation_deterministic(knots):
     """Pure operations over immutable diagrams evaluate safely in parallel."""
     from concurrent.futures import ThreadPoolExecutor
