@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from knotmoves.diagram import Diagram, parse_dt
-from knotmoves.invariants import (CrossingLimitExceeded, conway, jones,
-                                  kauffman_bracket, v2_conway, v2_jones, v3_jones,
-                                  vassiliev_report)
+from knotmoves.diagram import Diagram, Fragment, parse_dt
+from knotmoves.invariants import (CrossingLimitExceeded, _smooth_unoriented, _state_key,
+                                  conway, jones, kauffman_bracket, v2_conway, v2_jones,
+                                  v3_jones, vassiliev_report)
 from knotmoves.moves import r1_add, random_perturb, replay
 from knotmoves.poly import LaurentPolynomial as L
 
@@ -153,6 +153,24 @@ def test_conway_golden_perturbed(knots):
             sizes.append(p.n_crossings)
             assert conway(p).to_pairs() == GOLDEN_CONWAY[name], (name, seed)
     assert len(sizes) == 35 and sizes.count(17) == 12
+
+
+def test_bracket_state_key_golden(knots):
+    # Memo keys of closed states: every corpus knot, three perturbed copies,
+    # and each of their one-crossing A and B smoothings (multi-loop states).
+    import hashlib
+
+    keys = []
+    for name, d in sorted(knots.items()):
+        for p in [d] + [random_perturb(d, 6, seed=s) for s in range(3)]:
+            f = Fragment(p.crossings)
+            keys.append(_state_key(f))
+            for ci in range(p.n_crossings):
+                for mode in "AB":
+                    keys.append(_state_key(_smooth_unoriented(f, ci, mode)))
+    assert len(keys) == 2748
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == \
+        "8a44f3cc21c7b9ac7160117f03ab159108398e5582a21e6730983b5fa3f554b4"
 
 
 def test_conway_multiplicative_on_sums(right_trefoil):

@@ -6,7 +6,7 @@ from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
 from knotmoves.invariants import v2_conway
 from knotmoves.moves import simplify
-from knotmoves.tangles import Builder, clasp_word, simplify_tangle
+from knotmoves.tangles import Builder, clasp_word, simplify_tangle, tangle_key
 from knotmoves.templates import (Chord, InvalidSite, apply_chord, band_sum,
                                  builtin_templates, default_id_bases, enumerate_sites,
                                  glue_insertion, random_insert_chord, realize_by_lower,
@@ -228,3 +228,19 @@ def test_brunnian_certificates_golden():
     blob = json.dumps(certs, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         "1ced6a75ce6086fe1577b2f3041f55692af9a158795732cf1d4d8faa54f71107"
+
+
+def test_tangle_key_golden():
+    # Keys of every template tangle, each strand deletion of it, and the
+    # simplify_tangle results of both; the Brunnian checks compare these.
+    import hashlib
+
+    keys = []
+    for k, tpl in sorted(builtin_templates().items()):
+        for t in (tpl.before, tpl.after) + tpl.insertions:
+            for u in [t] + [t.delete_strand(s) for s in range(k)]:
+                keys.append(tangle_key(u))
+                keys.append(tangle_key(simplify_tangle(u)[0]))
+    assert len(keys) == 96
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == \
+        "9c1096ef3d423615327e8ba756149c341dd4628ccd2d3e94058576664ccc26bc"
