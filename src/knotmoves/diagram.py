@@ -104,61 +104,54 @@ class Fragment:
         e, d = dart
         return self.occurrences[e][1 - d]
 
-    def _next_strand_dart(self, dart: Dart) -> Dart:
-        """Follow the strand through the crossing at the end of ``dart``."""
-        kind, ci, slot = self._arrival(dart)
-        if kind != "x":
-            raise MalformedDiagram("strand walk ran into a boundary leg")
-        out = (slot + 2) % 4
-        f = self.crossings[ci].ends[out]
-        d = 0 if self.occurrences[f][0] == ("x", ci, out) else 1
-        return (f, d)
+    def _leg_dart(self, li: int) -> Dart:
+        """The dart entering the fragment from boundary leg ``li``."""
+        e = self.legs[li]
+        return (e, 0 if self.occurrences[e][0] == ("b", li, 0) else 1)
 
-    def closed_components(self) -> list[list[Dart]]:
-        """Strand walks of all closed components (legs must pair separately)."""
-        self.check_edge_pairing()
-        leg_edges = set(self.legs)
-        visited: set[int] = set()
-        comps = []
-        for e in self.edges():
-            if e in visited or e in leg_edges:
-                continue
-            if any(k == "b" for k, _, _ in self.occurrences[e]):
-                visited.add(e)
-                continue
-            walk = []
-            cur: Dart = (e, 0)
-            while True:
-                edge, _ = cur
-                if edge in visited:
-                    raise MalformedDiagram("strand walk revisited an edge")
-                visited.add(edge)
-                walk.append(cur)
-                cur = self._next_strand_dart(cur)
-                if cur == (e, 0):
-                    break
-            comps.append(walk)
-        return comps
+    def _strand_walk(self, start: Dart) -> list[Dart]:
+        """Darts along the strand from ``start``, up to a boundary leg or back to ``start``."""
+        walk = [start]
+        while True:
+            kind, ci, slot = self._arrival(walk[-1])
+            if kind != "x":
+                return walk
+            out = (slot + 2) % 4
+            f = self.crossings[ci].ends[out]
+            dart = (f, 0 if self.occurrences[f][0] == ("x", ci, out) else 1)
+            if dart == start:
+                return walk
+            walk.append(dart)
 
     def boundary_strands(self) -> list[list[Dart]]:
         """Strand walks from each leg to its partner leg, in leg order."""
         self.check_edge_pairing()
         strands = []
-        done: set[int] = set()
-        for li, e in enumerate(self.legs):
-            if li in done:
-                continue
-            d = 0 if self.occurrences[e][0] == ("b", li, 0) else 1
-            walk: list[Dart] = [(e, d)]
-            while True:
-                kind, idx, _ = self._arrival(walk[-1])
-                if kind == "b":
-                    done.add(idx)
-                    break
-                walk.append(self._next_strand_dart(walk[-1]))
-            done.add(li)
-            strands.append(walk)
+        ends: set[int] = set()
+        for li in range(len(self.legs)):
+            if li not in ends:
+                walk = self._strand_walk(self._leg_dart(li))
+                ends.add(self._arrival(walk[-1])[1])
+                strands.append(walk)
         return strands
+
+    def closed_components(self) -> list[list[Dart]]:
+        """Strand walks of the closed components.
+
+        Each starts in dir 0 at the smallest edge that no boundary strand or
+        earlier walk has visited.
+        """
+        visited = {e for walk in self.boundary_strands() for e, _ in walk}
+        comps = []
+        for e in self.edges():
+            if e not in visited:
+                walk = self._strand_walk((e, 0))
+                edges = {f for f, _ in walk}
+                if len(edges) < len(walk):
+                    raise MalformedDiagram("strand walk revisited an edge")
+                visited |= edges
+                comps.append(walk)
+        return comps
 
     def component_count(self) -> int:
         return len(self.closed_components()) + len(self.boundary_strands()) + self.free_loops
@@ -216,11 +209,12 @@ class Fragment:
         return max(ids) if ids else 0
 
     def relabeled(self, mapping: dict[int, int]) -> "Fragment":
-        return Fragment(
-            [c.relabeled(mapping) for c in self.crossings],
-            [mapping.get(e, e) for e in self.legs],
-            self.free_loops,
-        )
+        return type(self)([c.relabeled(mapping) for c in self.crossings],
+                          [mapping.get(e, e) for e in self.legs], self.free_loops)
+
+    def shifted(self, delta: int):
+        """Add ``delta`` to every edge id; subclasses keep their class."""
+        return self.relabeled({e: e + delta for e in self.occurrences})
 
 
 class _IdJoiner:
@@ -306,14 +300,7 @@ class Diagram(Fragment):
         if occ[0][1] == occ[1][1]:
             under = 0 if occ[0][2] % 2 == 0 else 1
             d = 1 - under if occ[under][2] == 0 else under
-        start: Dart = (self.basepoint, d)
-        walk = []
-        cur = start
-        while True:
-            walk.append(cur)
-            cur = self._next_strand_dart(cur)
-            if cur == start:
-                return walk
+        return self._strand_walk((self.basepoint, d))
 
     @cached_property
     def passages(self) -> list[tuple[int, int]]:
@@ -410,9 +397,6 @@ class Diagram(Fragment):
     def relabeled(self, mapping: dict[int, int]) -> "Diagram":
         return Diagram([c.relabeled(mapping) for c in self.crossings], self.free_loops,
                        mapping.get(self.basepoint, self.basepoint), check=False)
-
-    def shifted(self, delta: int) -> "Diagram":
-        return self.relabeled({e: e + delta for e in self.occurrences})
 
     def connected_sum(self, other: "Diagram") -> "Diagram":
         """Connected sum taken at the basepoint edges of both diagrams."""

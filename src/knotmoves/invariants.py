@@ -14,6 +14,7 @@ import threading
 from . import moves
 from .diagram import Diagram, Fragment, _IdJoiner
 from .poly import LaurentPolynomial
+from .tangles import tangle_key
 
 _A = LaurentPolynomial.monomial(1)
 _Ainv = LaurentPolynomial.monomial(-1)
@@ -42,45 +43,6 @@ class _Memo:
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-# -- unoriented state keys ---------------------------------------------------
-
-def _state_key(frag: Fragment) -> str:
-    """Deterministic structural key for closed multiloop fragments.
-
-    Canonical under relabeling along the chosen walk starts; used for
-    memoization of smoothing states.
-    """
-    occ = frag.occurrences
-    edges = sorted(occ)
-    visited: set[int] = set()
-    parts = []
-    label: dict[int, int] = {}
-    first_slot: dict[int, int] = {}
-    for e0 in edges:
-        if e0 in visited:
-            continue
-        walk_parts = []
-        cur = (e0, 0)
-        while True:
-            edge, d = cur
-            if edge in visited:
-                break
-            visited.add(edge)
-            kind, ci, slot = frag.occurrences[edge][1 - d]
-            if ci not in label:
-                label[ci] = len(label)
-                first_slot[ci] = slot
-                walk_parts.append(f"{label[ci]}{'u' if slot % 2 == 0 else 'o'}")
-            else:
-                rel = (slot - first_slot[ci]) % 4
-                walk_parts.append(f"{label[ci]}.{rel}")
-            out = (slot + 2) % 4
-            f = frag.crossings[ci].ends[out]
-            cur = (f, 0 if frag.occurrences[f][0] == ("x", ci, out) else 1)
-        parts.append(",".join(walk_parts))
-    return f"L{frag.free_loops}|" + "|".join(parts)
 
 
 # -- Kauffman bracket ---------------------------------------------------------
@@ -168,7 +130,7 @@ def _bracket_raw(frag: Fragment) -> LaurentPolynomial:
         for g in groups:
             value = value * _bracket_raw(g)
         return factor * value
-    key = _state_key(frag)
+    key = tangle_key(frag)
     cached = _bracket_memo.get(key)
     if cached is None:
         a_val = _bracket_raw(_smooth_unoriented(frag, 0, "A"))

@@ -28,7 +28,6 @@ class InapplicableMove(ValueError):
 
 
 def _rebuild(frag: Fragment, crossings, legs=None, free_loops=None):
-    cls = type(frag)
     legs = frag.legs if legs is None else legs
     loops = frag.free_loops if free_loops is None else free_loops
     if isinstance(frag, Diagram):

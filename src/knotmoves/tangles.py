@@ -19,34 +19,13 @@ from .moves import simplify_fragment
 
 
 class Tangle(Fragment):
-    def __init__(self, crossings, legs, free_loops: int = 0):
-        super().__init__(crossings, legs, free_loops)
-
     def strand_legs(self) -> list[tuple[int, int]]:
         """Leg-index pairs connected by a strand, ordered by first leg."""
         pairs = []
-        seen = set()
-        for li in range(len(self.legs)):
-            if li in seen:
-                continue
-            walk = self._walk_from_leg(li)
-            kind, lj, _ = self._arrival(walk[-1])
-            if kind != "b":
-                raise ValueError("strand walk did not end on the boundary")
-            seen.update((li, lj))
-            pairs.append((li, lj))
+        for walk in self.boundary_strands():
+            e, d = walk[0]
+            pairs.append((self.occurrences[e][d][1], self._arrival(walk[-1])[1]))
         return pairs
-
-    def _walk_from_leg(self, li: int):
-        e = self.legs[li]
-        occs = self.occurrences[e]
-        d = 0 if occs[0] == ("b", li, 0) else 1
-        walk = [(e, d)]
-        while True:
-            kind, _, _ = self._arrival(walk[-1])
-            if kind == "b":
-                return walk
-            walk.append(self._next_strand_dart(walk[-1]))
 
     def finger_count(self) -> int:
         if len(self.legs) % 2:
@@ -58,9 +37,7 @@ class Tangle(Fragment):
         return {tuple(sorted(p)) for p in self.strand_legs()} == want
 
     def strand_edges(self, strand: int) -> set[int]:
-        li, _ = self.strand_legs()[strand]
-        walk = self._walk_from_leg(li)
-        return {e for e, _ in walk}
+        return {e for e, _ in self.boundary_strands()[strand]}
 
     def delete_strand(self, strand: int) -> "Tangle":
         """Remove one strand (indexed per strand_legs), smoothing its crossings."""
@@ -97,39 +74,34 @@ class Tangle(Fragment):
         legs = self.legs[r:] + self.legs[:r]
         return Tangle(self.crossings, legs, self.free_loops)
 
-    def relabeled(self, mapping: dict[int, int]) -> "Tangle":
-        return Tangle([c.relabeled(mapping) for c in self.crossings],
-                      [mapping.get(e, e) for e in self.legs], self.free_loops)
-
-    def shifted(self, delta: int) -> "Tangle":
-        return self.relabeled({e: e + delta for e in self.occurrences})
-
 
 def tangle_key(t: Fragment) -> str:
-    """Deterministic structural key; legs anchor the traversal frame."""
-    if not isinstance(t, Tangle):
-        t = Tangle(t.crossings, t.legs, t.free_loops)
+    """Structural key: strand walks from every leg, then ``closed_components``.
+
+    A crossing's first visit reads ``{label}u`` or ``{label}o`` and its
+    second ``{label}.{slot offset}``; ``>{leg}`` ends a leg walk.  The tokens
+    rebuild each crossing up to its two-slot rotation gauge, so equal keys
+    mean fragments equal up to edge relabelling.  The key is canonical under
+    relabelling only when every component touches a leg: a closed component
+    is walked from its smallest edge id, so a relabelled closed fragment,
+    such as a bracket state, may key differently.
+    """
+    walks = [t._strand_walk(t._leg_dart(li)) for li in range(len(t.legs))]
     label: dict[int, int] = {}
     first_slot: dict[int, int] = {}
     parts = []
-    for li in range(len(t.legs)):
-        e = t.legs[li]
-        occs = t.occurrences[e]
-        d = 0 if occs[0] == ("b", li, 0) else 1
-        cur = (e, d)
+    for walk in walks + t.closed_components():
         sub = []
-        while True:
-            kind, ci, slot = t._arrival(cur)
+        for dart in walk:
+            kind, ci, slot = t._arrival(dart)
             if kind == "b":
                 sub.append(f">{ci}")
-                break
-            if ci not in label:
+            elif ci not in label:
                 label[ci] = len(label)
                 first_slot[ci] = slot
                 sub.append(f"{label[ci]}{'u' if slot % 2 == 0 else 'o'}")
             else:
                 sub.append(f"{label[ci]}.{(slot - first_slot[ci]) % 4}")
-            cur = t._next_strand_dart(cur)
         parts.append(",".join(sub))
     return f"L{t.free_loops}|" + "|".join(parts)
 
@@ -200,5 +172,5 @@ def commutator(a, b) -> list[tuple[int, bool]]:
     return list(a) + list(b) + inverse_word(a) + inverse_word(b)
 
 
-def simplify_tangle(t: Tangle, r3_budget: int = 400):
+def simplify_tangle(t: Fragment, r3_budget: int = 400):
     return simplify_fragment(t, tangle_key, r3_budget)

@@ -613,7 +613,6 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
 
     def reduce(t: Fragment):
         t, extra = greedy_reduce(t)
-        t = Tangle(t.crossings, t.legs, t.free_loops)
         return None if t.n_crossings > cap else (t, extra)
 
     walk = _Explorer(start, list(start_script), tangle_key, steps, reduce, budget)
@@ -632,5 +631,5 @@ def replay_tangle_script(template: MoveTemplate, script: Script) -> bool:
     for entry in script:
         cur = apply_move(cur, entry)
     goal, _ = simplify_tangle(template.after)
-    final, _ = simplify_tangle(Tangle(cur.crossings, cur.legs, cur.free_loops))
+    final, _ = simplify_tangle(cur)
     return tangle_key(final) == tangle_key(goal)

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from knotmoves.diagram import Diagram, Fragment, parse_dt
-from knotmoves.invariants import (CrossingLimitExceeded, _smooth_unoriented, _state_key,
-                                  conway, jones, kauffman_bracket, v2_conway, v2_jones,
-                                  v3_jones, vassiliev_report)
+from knotmoves.invariants import (CrossingLimitExceeded, _smooth_unoriented, conway, jones,
+                                  kauffman_bracket, v2_conway, v2_jones, v3_jones,
+                                  vassiliev_report)
 from knotmoves.moves import r1_add, random_perturb, replay
 from knotmoves.poly import LaurentPolynomial as L
+from knotmoves.tangles import tangle_key
 
 
 def brute_bracket(d: Diagram) -> L:
@@ -164,10 +165,10 @@ def test_bracket_state_key_golden(knots):
     for name, d in sorted(knots.items()):
         for p in [d] + [random_perturb(d, 6, seed=s) for s in range(3)]:
             f = Fragment(p.crossings)
-            keys.append(_state_key(f))
+            keys.append(tangle_key(f))
             for ci in range(p.n_crossings):
                 for mode in "AB":
-                    keys.append(_state_key(_smooth_unoriented(f, ci, mode)))
+                    keys.append(tangle_key(_smooth_unoriented(f, ci, mode)))
     assert len(keys) == 2748
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == \
         "8a44f3cc21c7b9ac7160117f03ab159108398e5582a21e6730983b5fa3f554b4"

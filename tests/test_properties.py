@@ -1,5 +1,6 @@
 """Property tests: random R-moves keep the invariants, codecs keep the key."""
 
+import random
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from knotmoves.diagram import emit_dt, emit_pd, parse_dt, parse_pd
 from knotmoves.gauss import v2, v3
 from knotmoves.invariants import conway, jones
 from knotmoves.moves import random_perturb
+from knotmoves.tangles import tangle_key
+from knotmoves.templates import builtin_templates
 
 SMALL = corpus(max_crossings=7, include_unknot=True)
 ALL = corpus(include_unknot=True)
@@ -48,3 +51,25 @@ def test_dt_round_trip_preserves_key(name, seed, steps):
     # code reproduces its key exactly.
     assert (v2(q), conway(q)) == (v2(p), conway(p))
     assert parse_dt(emit_dt(q)).canonical_key == q.canonical_key
+
+
+@lru_cache(maxsize=None)
+def template_tangles() -> tuple:
+    out = []
+    for k, tpl in sorted(builtin_templates().items()):
+        for t in (tpl.before, tpl.after) + tpl.insertions:
+            out += [t] + [t.delete_strand(s) for s in range(k)]
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 4), st.integers(0, 10 ** 6))
+def test_tangle_key_ignores_edge_labels(pick, delta, seed):
+    # Every component of these tangles touches a leg, so the legs anchor
+    # every walk and the key must not see the edge ids.
+    tangles = template_tangles()
+    t = tangles[pick % len(tangles)]
+    edges = t.edges()
+    fresh = random.Random(seed).sample(range(10 * len(edges) + 10), len(edges))
+    assert tangle_key(t.shifted(delta)) == tangle_key(t)
+    assert tangle_key(t.relabeled(dict(zip(edges, fresh)))) == tangle_key(t)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from knotmoves.diagram import Diagram, MalformedDiagram
+from knotmoves.diagram import Crossing, Diagram, MalformedDiagram
 from knotmoves.gauss import v2
 from knotmoves.invariants import v2_conway
 from knotmoves.moves import simplify
-from knotmoves.tangles import Builder, clasp_word, simplify_tangle, tangle_key
+from knotmoves.tangles import Builder, Tangle, clasp_word, simplify_tangle, tangle_key
 from knotmoves.templates import (Chord, InvalidSite, apply_chord, band_sum,
                                  builtin_templates, default_id_bases, enumerate_sites,
                                  glue_insertion, random_insert_chord, realize_by_lower,
@@ -23,6 +23,20 @@ def test_builder_finger_form():
     t = Builder(4).word(clasp_word(4, 0, 2, True)).fingers()
     assert t.is_finger_form()
     assert t.n_crossings == 4
+
+
+def test_component_count_on_tangles():
+    # A full twist: both strands run leg to leg through both crossings.
+    t = Builder(2).word([(0, True), (0, True)]).through()
+    assert t.component_count() == 2
+    assert t.closed_components() == []
+
+
+def test_tangle_key_sees_closed_components():
+    bare = Tangle([Crossing((1, 3, 2, 4))], [1, 2, 3, 4])
+    kinked = Tangle([Crossing((1, 3, 2, 4)), Crossing((5, 5, 6, 6))], [1, 2, 3, 4])
+    assert kinked.component_count() == 3
+    assert tangle_key(bare) != tangle_key(kinked)
 
 
 def test_delete_strand_smooths():
