@@ -110,7 +110,7 @@ class Fragment:
         return (e, 0 if self.occurrences[e][0] == ("b", li, 0) else 1)
 
     def _strand_walk(self, start: Dart) -> list[Dart]:
-        """Darts along the strand from ``start``, up to a boundary leg or back to ``start``."""
+        """Follow the strand from ``start`` to a boundary leg or back to ``start``."""
         walk = [start]
         while True:
             kind, ci, slot = self._arrival(walk[-1])
@@ -146,10 +146,7 @@ class Fragment:
         for e in self.edges():
             if e not in visited:
                 walk = self._strand_walk((e, 0))
-                edges = {f for f, _ in walk}
-                if len(edges) < len(walk):
-                    raise MalformedDiagram("strand walk revisited an edge")
-                visited |= edges
+                visited.update(f for f, _ in walk)
                 comps.append(walk)
         return comps
 

@@ -1,6 +1,5 @@
 """Property tests: random R-moves keep the invariants, codecs keep the key."""
 
-import random
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -53,23 +52,20 @@ def test_dt_round_trip_preserves_key(name, seed, steps):
     assert parse_dt(emit_dt(q)).canonical_key == q.canonical_key
 
 
-@lru_cache(maxsize=None)
-def template_tangles() -> tuple:
+def template_tangles() -> list:
     out = []
     for k, tpl in sorted(builtin_templates().items()):
         for t in (tpl.before, tpl.after) + tpl.insertions:
             out += [t] + [t.delete_strand(s) for s in range(k)]
-    return tuple(out)
+    return out
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 4), st.integers(0, 10 ** 6))
-def test_tangle_key_ignores_edge_labels(pick, delta, seed):
+@given(st.sampled_from(template_tangles()), st.integers(1, 10 ** 4), st.randoms())
+def test_tangle_key_ignores_edge_labels(t, delta, rng):
     # Every component of these tangles touches a leg, so the legs anchor
     # every walk and the key must not see the edge ids.
-    tangles = template_tangles()
-    t = tangles[pick % len(tangles)]
     edges = t.edges()
-    fresh = random.Random(seed).sample(range(10 * len(edges) + 10), len(edges))
+    fresh = rng.sample(range(10 * len(edges) + 10), len(edges))
     assert tangle_key(t.shifted(delta)) == tangle_key(t)
     assert tangle_key(t.relabeled(dict(zip(edges, fresh)))) == tangle_key(t)
