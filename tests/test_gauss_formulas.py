@@ -1,11 +1,14 @@
 """The frozen arrow-pattern tables against their polynomial oracles."""
 
+import hashlib
 import random
 
 from knotmoves.diagram import Diagram
+from knotmoves.finitetype import random_family
 from knotmoves.gauss import to_gauss, v2, v3
 from knotmoves.invariants import v2_conway, v2_jones, v3_jones
 from knotmoves.moves import random_perturb
+from knotmoves.templates import apply_chord, family, random_insert_chord
 
 
 def test_v2_calibration_anchors(unknot, right_trefoil, left_trefoil, knots):
@@ -86,3 +89,53 @@ def test_gauss_diagram_shape(knots):
     g = to_gauss(knots["6_2"])
     assert g.length == 12
     assert sorted(s for a in g.arrows for s in (a.over, a.under)) == list(range(12))
+
+
+def _golden_diagrams(knots):
+    """Corpus knots, mirrors, perturbed copies and insertion-chain members."""
+    out = []
+    rng = random.Random(6)
+    for name, d in sorted(knots.items()):
+        out.append((name, d))
+        out.append((name + "*", d.mirror()))
+        for seed in range(2):
+            out.append((f"{name}~{seed}", random_perturb(d, 12, seed=seed)))
+        chain = d
+        for step in range(8):
+            chord = random_insert_chord(chain, rng.choice((2, 3)), rng)
+            if chord is None:
+                break
+            chain = apply_chord(chain, chord)
+            if chain.n_crossings > 150:
+                break
+            out.append((f"{name}+{step}", chain))
+    return out
+
+
+def test_v2_v3_golden(knots):
+    # Recorded with the pattern-string census; v3 only up to 60 crossings.
+    lines = []
+    for label, d in _golden_diagrams(knots):
+        third = v3(d) if d.n_crossings <= 60 else "-"
+        lines.append(f"{label} {d.n_crossings} {v2(d)} {third}")
+    assert len(lines) == 341
+    assert max(int(line.split()[1]) for line in lines) == 146
+    assert sum(not line.endswith("-") for line in lines) == 247
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "62e1d652ad2ceb5d46688a3a744dc2d28542ce238bdb6260a43d9815d2e53542"
+
+
+def test_v2_equals_conway_on_large_family_members(knots):
+    # The Gauss and Conway routes are independent; compare them well above
+    # corpus size, on members of seeded (3, 2, 2) families.
+    rng = random.Random(31)
+    sizes = []
+    for name, d in sorted(knots.items()):
+        fam = random_family(d, (3, 2, 2), rng)
+        if fam is None:
+            continue
+        for subset, member in family(fam).items():
+            if member.n_crossings >= 30:
+                sizes.append(member.n_crossings)
+                assert v2(member) == v2_conway(member), (name, sorted(subset))
+    assert len(sizes) == 58 and min(sizes) == 30 and max(sizes) == 37
