@@ -61,8 +61,3 @@ def corpus(max_crossings: int | None = None, include_unknot: bool = False,
     if max_crossings is not None:
         out = {k: v for k, v in out.items() if v.n_crossings <= max_crossings}
     return out
-
-
-def corpus_dt_lines() -> list[str]:
-    """Tab-separated `name<TAB>DT` lines for the prime entries."""
-    return [f"{name}\t{code}" for name, code in _PRIME_DT.items()]

@@ -1,19 +1,28 @@
-"""Gauss diagrams and arrow-pattern counts for low-order Vassiliev invariants.
+"""Gauss diagrams and the Gauss-diagram formulas for v2 and v3.
 
-An arrow runs from the over-passage to the under-passage of a crossing and
-carries the crossing sign.  v2 and v3 are evaluated as integer combinations
-of cyclic arrow-configuration counts; the coefficient tables below were
-fixed once by exact calibration against the polynomial routes (Conway z^2
-coefficient and Jones derivatives) over a corpus of diagrams and perturbed
-copies, and are frozen.  Cyclic (basepoint-free) configurations make the
-counts independent of the traversal start by construction.
+An arrow runs from the over-passage (tail) to the under-passage (head) of a
+crossing and carries its sign.  Passages are numbered 0..2n-1 from the
+basepoint; crossing a is passed first at f_a and again at g_a, and chords
+are ordered by f.  v2 and v3 are the Polyak-Viro (IMRN 1994) and
+Goussarov-Polyak-Viro (Topology 39, 2000) signed counts, each term weighted
+by the product of the signs:
+
+* v2: pairs a < b, a first passed as a head and b as a tail, with
+  f_b < g_a < g_b (based pattern 0h1t0t1h);
+* v3: triples i < j < k whose first passages are tails or heads as listed,
+  in one of five orders:
+  t h t, f_k < g_i < g_j < g_k (0t1h2t0h1t2h);
+  h t h, f_k < g_i < g_j < g_k (0h1t2h0t1h2t);
+  h h t, f_k < g_i < g_k < g_j (0h1h2t0t2h1t);
+  h t t, f_k < g_j < g_i < g_k (0h1t2t1h0t2h);
+  t h t, g_i < f_k < g_j < g_k (0t1h0h2t1t2h).
+
+The tests check both counts against the Conway and Jones routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
 from .diagram import Diagram
 
@@ -56,81 +65,65 @@ def to_gauss(d: Diagram) -> GaussDiagram:
     return g
 
 
-def _based_code(arrows: tuple[Arrow, ...]) -> str:
-    """Based configuration code of a small arrow set.
-
-    Endpoints are listed in increasing order from the basepoint; each is
-    tagged with its chord (relabeled by first appearance) and whether it is
-    the tail (over passage) or head (under passage).
-    """
-    points = []
-    for idx, a in enumerate(arrows):
-        points.append((a.over, idx, "t"))
-        points.append((a.under, idx, "h"))
-    points.sort()
-    label: dict[int, int] = {}
-    parts = []
-    for _, idx, kind in points:
-        lab = label.setdefault(idx, len(label))
-        parts.append(f"{lab}{kind}")
-    return "".join(parts)
+def _chords(d: Diagram) -> list[tuple[int, int, bool, int]]:
+    """(f, g, first passage is the tail, sign) per crossing, sorted by f."""
+    at: dict[int, list[int]] = {}
+    for pos, (ci, _) in enumerate(d.passages):
+        at.setdefault(ci, []).append(pos)
+    return sorted((f, g, d.passages[f][1] % 2 == 1, d.signs[ci])
+                  for ci, (f, g) in at.items())
 
 
-def pair_counts(g: GaussDiagram) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for a, b in combinations(g.arrows, 2):
-        code = _based_code((a, b))
-        counts[code] = counts.get(code, 0) + a.sign * b.sign
-    return counts
+def _v2_count(chords) -> int:
+    """Signed count of the pair pattern 0h1t0t1h."""
+    total = 0
+    for a, (fa, ga, ta, sa) in enumerate(chords):
+        if ta:
+            continue
+        for fb, gb, tb, sb in chords[a + 1:]:
+            if fb > ga:
+                break
+            if tb and gb > ga:
+                total += sa * sb
+    return total
 
 
-def triple_counts(g: GaussDiagram) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for a, b, c in combinations(g.arrows, 3):
-        code = _based_code((a, b, c))
-        counts[code] = counts.get(code, 0) + a.sign * b.sign * c.sign
-    return counts
-
-
-# Frozen calibration output (scripts/calibrate_patterns.py); the tests
-# re-verify these tables against the polynomial oracles corpus-wide.
-V2_TERMS: dict[str, Fraction] = {
-    # interleaved pair: under of chord 0, over of 1, over of 0, under of 1
-    "0h1t0t1h": Fraction(1),
-}
-
-V3_TERMS_PAIR: dict[str, Fraction] = {}
-V3_TERMS_TRIPLE: dict[str, Fraction] = {
-    "0t1h2t0h1t2h": Fraction(1),
-    "0h1t2h0t1h2t": Fraction(1),
-    "0h1h2t0t2h1t": Fraction(1),
-    "0h1t2t1h0t2h": Fraction(1),
-    "0t1h0h2t1t2h": Fraction(1),
-}
-
-
-def _evaluate(counts: dict[str, int], table: dict[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for code, coeff in table.items():
-        if coeff and code in counts:
-            total += coeff * counts[code]
+def _v3_count(chords) -> int:
+    """Signed count of the five triple orders in the module docstring."""
+    end = 2 * len(chords)
+    total = 0
+    for i, (fi, gi, ti, si) in enumerate(chords):
+        for j in range(i + 1, len(chords)):
+            fj, gj, tj, sj = chords[j]
+            if fj > gi:
+                break
+            # k is first passed before `bound`, as a tail or a head as
+            # `tail` says, and again strictly between lo and hi.
+            if gj > gi and ti and not tj:  # both t h t orders
+                bound, tail, lo, hi = gj, True, gj, end
+            elif gj > gi and tj and not ti:  # h t h
+                bound, tail, lo, hi = gi, False, gj, end
+            elif gj > gi and not (ti or tj):  # h h t
+                bound, tail, lo, hi = gi, True, gi, gj
+            elif gj < gi and tj and not ti:  # h t t
+                bound, tail, lo, hi = gj, True, gi, end
+            else:
+                continue
+            inner = 0
+            for fk, gk, tk, sk in chords[j + 1:]:
+                if fk > bound:
+                    break
+                if tk == tail and lo < gk < hi:
+                    inner += sk
+            total += si * sj * inner
     return total
 
 
 def v2(d: Diagram) -> int:
-    """Order-2 Vassiliev invariant via interleaved arrow-pair counting."""
-    g = to_gauss(d)
-    value = _evaluate(pair_counts(g), V2_TERMS)
-    if value.denominator != 1:
-        raise AssertionError(f"v2 count is not an integer: {value}")
-    return int(value)
+    """Order-2 Vassiliev invariant: signed count of one interleaved arrow pair."""
+    return _v2_count(_chords(d))
 
 
 def v3(d: Diagram) -> int:
-    """Order-3 Vassiliev invariant via arrow triple (plus pair) counting."""
-    g = to_gauss(d)
-    value = _evaluate(triple_counts(g), V3_TERMS_TRIPLE)
-    value += _evaluate(pair_counts(g), V3_TERMS_PAIR)
-    if value.denominator != 1:
-        raise AssertionError(f"v3 count is not an integer: {value}")
-    return int(value)
+    """Order-3 Vassiliev invariant: signed count of five arrow-triple orders."""
+    return _v3_count(_chords(d))

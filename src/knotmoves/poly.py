@@ -50,16 +50,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
-
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -130,10 +120,6 @@ class LaurentPolynomial:
     def reciprocal(self) -> "LaurentPolynomial":
         """Substitute x -> x**-1 (negate all exponents)."""
         return _raw({-e: c for e, c in self._terms.items()})
-
-    def scale_exponents(self, factor: int) -> "LaurentPolynomial":
-        """Substitute x -> x**factor."""
-        return _raw({e * factor: c for e, c in self._terms.items()})
 
     def derivative_at_one(self, order: int) -> int:
         """Return the order-th derivative evaluated at x = 1, exactly.

@@ -19,13 +19,14 @@ from .moves import simplify_fragment
 
 
 class Tangle(Fragment):
+    def _end_legs(self, walk: list) -> tuple[int, int]:
+        """Leg indices where a boundary strand walk starts and ends."""
+        e, d = walk[0]
+        return self.occurrences[e][d][1], self._arrival(walk[-1])[1]
+
     def strand_legs(self) -> list[tuple[int, int]]:
         """Leg-index pairs connected by a strand, ordered by first leg."""
-        pairs = []
-        for walk in self.boundary_strands():
-            e, d = walk[0]
-            pairs.append((self.occurrences[e][d][1], self._arrival(walk[-1])[1]))
-        return pairs
+        return [self._end_legs(walk) for walk in self.boundary_strands()]
 
     def finger_count(self) -> int:
         if len(self.legs) % 2:
@@ -36,13 +37,11 @@ class Tangle(Fragment):
         want = {(2 * i, 2 * i + 1) for i in range(self.finger_count())}
         return {tuple(sorted(p)) for p in self.strand_legs()} == want
 
-    def strand_edges(self, strand: int) -> set[int]:
-        return {e for e, _ in self.boundary_strands()[strand]}
-
     def delete_strand(self, strand: int) -> "Tangle":
         """Remove one strand (indexed per strand_legs), smoothing its crossings."""
-        li, lj = self.strand_legs()[strand]
-        dead = self.strand_edges(strand)
+        walk = self.boundary_strands()[strand]
+        li, lj = self._end_legs(walk)
+        dead = {e for e, _ in walk}
         joiner = _IdJoiner()
         kept = []
         for c in self.crossings:
@@ -69,10 +68,6 @@ class Tangle(Fragment):
     def mirrored(self) -> "Tangle":
         return Tangle([c.mirrored() for c in self.crossings], self.legs,
                       self.free_loops)
-
-    def rotated_legs(self, r: int) -> "Tangle":
-        legs = self.legs[r:] + self.legs[:r]
-        return Tangle(self.crossings, legs, self.free_loops)
 
 
 def tangle_key(t: Fragment) -> str:

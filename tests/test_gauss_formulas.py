@@ -1,14 +1,115 @@
-"""The frozen arrow-pattern tables against their polynomial oracles."""
+"""The Gauss-diagram counts v2 and v3 against independent routes.
+
+The position counts of `knotmoves.gauss` are checked against the Conway and
+Jones routes, against a golden digest recorded with the earlier
+pattern-string census, and against that census itself (kept below as the
+reference) on random arrow configurations, realizable or not.
+"""
 
 import hashlib
 import random
+from fractions import Fraction
+from itertools import combinations
 
 from knotmoves.diagram import Diagram
 from knotmoves.finitetype import random_family
-from knotmoves.gauss import to_gauss, v2, v3
+from knotmoves.gauss import Arrow, GaussDiagram, _chords, _v2_count, _v3_count, to_gauss, v2, v3
 from knotmoves.invariants import v2_conway, v2_jones, v3_jones
 from knotmoves.moves import random_perturb
 from knotmoves.templates import apply_chord, family, random_insert_chord
+
+# The pattern-string census that first defined v2 and v3: every arrow pair
+# and triple is coded by its based configuration and looked up in tables.
+
+def _based_code(arrows: tuple[Arrow, ...]) -> str:
+    """Based configuration code of a small arrow set.
+
+    Endpoints are listed in increasing order from the basepoint; each is
+    tagged with its chord (relabeled by first appearance) and whether it is
+    the tail (over passage) or head (under passage).
+    """
+    points = []
+    for idx, a in enumerate(arrows):
+        points.append((a.over, idx, "t"))
+        points.append((a.under, idx, "h"))
+    points.sort()
+    label: dict[int, int] = {}
+    parts = []
+    for _, idx, kind in points:
+        lab = label.setdefault(idx, len(label))
+        parts.append(f"{lab}{kind}")
+    return "".join(parts)
+
+
+def pair_counts(g: GaussDiagram) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for a, b in combinations(g.arrows, 2):
+        code = _based_code((a, b))
+        counts[code] = counts.get(code, 0) + a.sign * b.sign
+    return counts
+
+
+def triple_counts(g: GaussDiagram) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for a, b, c in combinations(g.arrows, 3):
+        code = _based_code((a, b, c))
+        counts[code] = counts.get(code, 0) + a.sign * b.sign * c.sign
+    return counts
+
+
+V2_TERMS: dict[str, Fraction] = {
+    # interleaved pair: under of chord 0, over of 1, over of 0, under of 1
+    "0h1t0t1h": Fraction(1),
+}
+
+V3_TERMS_PAIR: dict[str, Fraction] = {}
+V3_TERMS_TRIPLE: dict[str, Fraction] = {
+    "0t1h2t0h1t2h": Fraction(1),
+    "0h1t2h0t1h2t": Fraction(1),
+    "0h1h2t0t2h1t": Fraction(1),
+    "0h1t2t1h0t2h": Fraction(1),
+    "0t1h0h2t1t2h": Fraction(1),
+}
+
+
+def _evaluate(counts: dict[str, int], table: dict[str, Fraction]) -> Fraction:
+    total = Fraction(0)
+    for code, coeff in table.items():
+        if coeff and code in counts:
+            total += coeff * counts[code]
+    return total
+
+
+def _census(g: GaussDiagram) -> tuple[Fraction, Fraction]:
+    return (_evaluate(pair_counts(g), V2_TERMS),
+            _evaluate(triple_counts(g), V3_TERMS_TRIPLE)
+            + _evaluate(pair_counts(g), V3_TERMS_PAIR))
+
+
+def _position_counts(g: GaussDiagram) -> tuple[int, int]:
+    chords = sorted((min(a.over, a.under), max(a.over, a.under), a.over < a.under, a.sign)
+                    for a in g.arrows)
+    return _v2_count(chords), _v3_count(chords)
+
+
+def test_position_counts_match_census_on_random_arrows():
+    rng = random.Random(20)
+    for trial in range(400):
+        n = rng.randrange(13)
+        slots = rng.sample(range(2 * n), 2 * n)
+        g = GaussDiagram(2 * n, tuple(Arrow(slots[2 * i], slots[2 * i + 1], rng.choice((-1, 1)))
+                                      for i in range(n)))
+        g.validate()
+        assert _position_counts(g) == _census(g), (trial, g)
+
+
+def test_position_counts_match_census_on_diagrams(knots):
+    for name, d in sorted(knots.items()):
+        for p in (d, d.mirror(), random_perturb(d, 8, seed=len(name))):
+            if p.n_crossings <= 12:
+                g = to_gauss(p)
+                assert _position_counts(g) == _census(g), name
+                assert (_v2_count(_chords(p)), _v3_count(_chords(p))) == _census(g), name
 
 
 def test_v2_calibration_anchors(unknot, right_trefoil, left_trefoil, knots):
@@ -113,7 +214,7 @@ def _golden_diagrams(knots):
 
 
 def test_v2_v3_golden(knots):
-    # Recorded with the pattern-string census; v3 only up to 60 crossings.
+    # Recorded with the census above; v3 only up to 60 crossings.
     lines = []
     for label, d in _golden_diagrams(knots):
         third = v3(d) if d.n_crossings <= 60 else "-"
