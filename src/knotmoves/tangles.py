@@ -14,12 +14,12 @@ by identifying the top ends pairwise.
 
 from __future__ import annotations
 
-from .diagram import Crossing, Fragment, _IdJoiner
+from .diagram import Crossing, Dart, Fragment, _IdJoiner
 from .moves import simplify_fragment
 
 
 class Tangle(Fragment):
-    def _end_legs(self, walk: list) -> tuple[int, int]:
+    def _end_legs(self, walk: list[Dart]) -> tuple[int, int]:
         """Leg indices where a boundary strand walk starts and ends."""
         e, d = walk[0]
         return self.occurrences[e][d][1], self._arrival(walk[-1])[1]

@@ -18,9 +18,9 @@ from knotmoves.invariants import v2_conway, v2_jones, v3_jones
 from knotmoves.moves import random_perturb
 from knotmoves.templates import apply_chord, family, random_insert_chord
 
+
 # The pattern-string census that first defined v2 and v3: every arrow pair
 # and triple is coded by its based configuration and looked up in tables.
-
 def _based_code(arrows: tuple[Arrow, ...]) -> str:
     """Based configuration code of a small arrow set.
 
