@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotmoves.diagram import (Diagram, DTCapExceeded, MalformedDiagram, NotRealizable,
-                               emit_dt, emit_pd, parse_dt, parse_pd)
+from knotmoves.diagram import (Crossing, Diagram, DTCapExceeded, MalformedDiagram,
+                               NotRealizable, emit_dt, emit_pd, parse_dt, parse_pd)
 from knotmoves.gauss import to_gauss
 from knotmoves.moves import random_perturb
 
@@ -28,6 +31,70 @@ def reference_key(d: Diagram) -> str:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def reference_parse_dt(text: str) -> Diagram:
+    """The product enumerator over all 2^(n-1) orientation patterns."""
+    stripped = text.strip()
+    if not stripped:
+        return Diagram.unknot()
+    try:
+        entries = [int(tok) for tok in stripped.replace(",", " ").split()]
+    except ValueError as exc:
+        raise MalformedDiagram(f"bad DT token in {text!r}") from exc
+    n = len(entries)
+    if any(a == 0 or a % 2 for a in entries):
+        raise MalformedDiagram("DT entries must be nonzero even integers")
+    evens = [abs(a) for a in entries]
+    if sorted(evens) != list(range(2, 2 * n + 1, 2)):
+        raise MalformedDiagram("DT even entries must be 2,4,...,2n in some order")
+    if n > 14:
+        raise DTCapExceeded("DT realizability search capped at 14 crossings")
+
+    # Positions 1..2n around the circle; edge j runs from position j to j+1.
+    # Crossing i has one record per orientation bit: bit 0 puts the outgoing
+    # over edge at slot 1, bit 1 the incoming one.
+    def edge_before(p: int) -> int:
+        return 2 * n if p == 1 else p - 1
+
+    ends = []
+    for i, a in enumerate(entries):
+        odd = 2 * i + 1
+        even = abs(a)
+        over, under = (even, odd) if a > 0 else (odd, even)
+        u_in, u_out = edge_before(under), under
+        o_in, o_out = edge_before(over), over
+        ends.append(((u_in, o_out, u_out, o_in), (u_in, o_in, u_out, o_out)))
+
+    # Faces are the orbits of the left-turn map on the 4n slot positions: a
+    # slot goes to the other end of its edge, then one slot ccw.
+    m = 4 * n
+    ccw = [p - p % 4 + (p + 1) % 4 for p in range(m)]
+
+    def n_faces(flat: list[int]) -> int:
+        first = [-1] * (2 * n + 1)
+        turn = [0] * m
+        for p, e in enumerate(flat):
+            q = first[e]
+            if q < 0:
+                first[e] = p
+            else:
+                turn[p], turn[q] = ccw[q], ccw[p]
+        seen = bytearray(m)
+        faces = 0
+        for p in range(m):
+            if not seen[p]:
+                faces += 1
+                while not seen[p]:
+                    seen[p] = 1
+                    p = turn[p]
+        return faces
+
+    for bits in product((0, 1), repeat=n - 1):
+        records = [ends[0][0]] + [e[bit] for e, bit in zip(ends[1:], bits)]
+        if n_faces([e for rec in records for e in rec]) == n + 2:
+            return Diagram([Crossing(rec) for rec in records], basepoint=1)
+    raise NotRealizable(f"DT code {text!r} has no planar realization")
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +242,55 @@ def test_dt_cap_is_not_a_realizability_verdict(knots):
     with pytest.raises(DTCapExceeded, match="capped at 14 crossings") as info:
         parse_dt(code)
     assert not isinstance(info.value, NotRealizable)
+
+
+def _dt_outcome(parse, code: str):
+    try:
+        d = parse(code)
+    except NotRealizable:
+        return "not realizable"
+    return d.basepoint, [c.ends for c in d.crossings]
+
+
+def test_parse_dt_matches_reference_on_random_codes(knots):
+    # Random signed codes are mostly realizable up to 7 crossings and mostly
+    # not from 10 on; signed emitted codes of perturbed copies add realizable
+    # codes of 8-12 crossings.
+    rng = random.Random(77)
+    codes = []
+    for n in range(3, 13):
+        for _ in range(25):
+            evens = list(range(2, 2 * n + 1, 2))
+            rng.shuffle(evens)
+            codes.append([rng.choice((e, -e)) for e in evens])
+    for name, d in sorted(knots.items()):
+        p = random_perturb(d, 8, seed=len(codes), max_extra=5)
+        if 8 <= p.n_crossings <= 12:
+            codes.append([rng.choice((a, -a)) for a in map(int, emit_dt(p).split())])
+    seen = {False: set(), True: set()}
+    for entries in codes:
+        code = " ".join(map(str, entries))
+        want = _dt_outcome(reference_parse_dt, code)
+        assert _dt_outcome(parse_dt, code) == want, code
+        seen[want != "not realizable"].add(len(entries))
+    assert seen[True] == set(range(3, 13))
+    assert seen[False] == set(range(5, 13))
+
+
+def test_parse_dt_golden_on_perturbed_codes(knots):
+    # Recorded with the product enumerator: emitted codes of 9-14 crossings.
+    lines = []
+    for name, d in sorted(knots.items()):
+        for seed in range(3):
+            p = random_perturb(d, 10, seed=seed, max_extra=6)
+            if 9 <= p.n_crossings <= 14:
+                code = emit_dt(p)
+                basepoint, ends = _dt_outcome(parse_dt, code)
+                lines.append(f"{name}~{seed} {p.n_crossings} {code} | {basepoint} {ends}")
+    assert len(lines) == 66
+    assert sum(line.split()[1] == "14" for line in lines) == 22
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "0cd55397771d1d0f15a0f72397c66ac5ce44ea8cf2b981df9f9c601309c717e0"
 
 
 def test_gauss_of_trefoil(left_trefoil):
