@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -479,9 +478,15 @@ def parse_dt(text: str) -> Diagram:
 
     Entry ``a_i`` pairs odd position 2i-1 with even position ``|a_i|``; the
     passage at the even position goes over exactly when the entry is
-    positive.  Codes without a planar realization raise NotRealizable;
-    codes of more than 14 crossings raise DTCapExceeded, since the search
-    over orientation patterns is capped there.
+    positive.  Codes without a planar realization raise NotRealizable.
+
+    The orientation bits of the crossings are found by a depth-first search
+    that drops a prefix as soon as the crossings fixed so far span a
+    sub-diagram of positive genus; it returns the first planar pattern in
+    the order of the full 2^(n-1) enumeration.  The search stays
+    exponential: codes of more than 14 crossings raise DTCapExceeded (a
+    limit, not a verdict), since emitted codes of 17-24 crossings already
+    take up to about 1.3 s each against under 0.01 s at 14.
     """
     stripped = text.strip()
     if not stripped:
@@ -514,34 +519,84 @@ def parse_dt(text: str) -> Diagram:
         o_in, o_out = edge_before(over), over
         ends.append(((u_in, o_out, u_out, o_in), (u_in, o_in, u_out, o_out)))
 
-    # Faces are the orbits of the left-turn map on the 4n slot positions: a
-    # slot goes to the other end of its edge, then one slot ccw.
-    m = 4 * n
-    ccw = [p - p % 4 + (p + 1) % 4 for p in range(m)]
+    # Edge e joins the owners of positions e and e % 2n + 1 whatever the
+    # bits, so it is inside the sub-diagram on crossings 0..k-1 from depth
+    # born[e] on.  At depth k that sub-ribbon graph, isolated crossings left
+    # out, has V vertices, E edges and C components; it is planar exactly
+    # when it has need[k] = 2C - V + E faces, and fewer faces means genus.
+    owner = [0] * (2 * n + 1)
+    for i, even in enumerate(evens):
+        owner[2 * i + 1] = owner[even] = i
+    born = [0] + [max(owner[e], owner[e % (2 * n) + 1]) + 1
+                  for e in range(1, 2 * n + 1)]
+    label = list(range(n))
+    used: set[int] = set()
+    need = [0] * (n + 1)
+    edges = 0
+    for k in range(1, n + 1):
+        for e in range(1, 2 * n + 1):
+            if born[e] == k:
+                a, b = owner[e], owner[e % (2 * n) + 1]
+                used.update((a, b))
+                label = [label[b] if x == label[a] else x for x in label]
+                edges += 1
+        comps = len({label[x] for x in used})
+        need[k] = 2 * comps - len(used) + edges
 
-    def n_faces(flat: list[int]) -> int:
+    # Faces are the orbits of the left-turn map on the inside slots: a slot
+    # goes to the other end of its edge, then to the next inside slot ccw.
+    flat = [0] * (4 * n)
+
+    def n_faces(k: int) -> int:
+        m = 4 * k
         first = [-1] * (2 * n + 1)
-        turn = [0] * m
-        for p, e in enumerate(flat):
-            q = first[e]
-            if q < 0:
-                first[e] = p
-            else:
-                turn[p], turn[q] = ccw[q], ccw[p]
+        other = [-1] * m
+        for p in range(m):
+            e = flat[p]
+            if born[e] <= k:
+                q = first[e]
+                if q < 0:
+                    first[e] = p
+                else:
+                    other[p], other[q] = q, p
         seen = bytearray(m)
         faces = 0
         for p in range(m):
-            if not seen[p]:
+            if other[p] >= 0 and not seen[p]:
                 faces += 1
                 while not seen[p]:
                     seen[p] = 1
-                    p = turn[p]
+                    q = other[p]
+                    base = q - q % 4
+                    p = base + (q + 1) % 4
+                    while other[p] < 0:
+                        p = base + (p + 1) % 4
         return faces
 
-    for bits in product((0, 1), repeat=n - 1):
-        records = [ends[0][0]] + [e[bit] for e, bit in zip(ends[1:], bits)]
-        if n_faces([e for rec in records for e in rec]) == n + 2:
-            return Diagram([Crossing(rec) for rec in records], basepoint=1)
+    # Depth-first over the bits of crossings 1..n-1 in product order (bit 0
+    # first), pruning a prefix whose sub-diagram already has genus: deleting
+    # edges never raises genus, so no completion of it is planar.  The first
+    # leaf reached is the first planar pattern of the full enumeration.
+    flat[0:4] = ends[0][0]
+    bits = [0] * n
+    k = 1
+    while k:
+        if n_faces(k) >= need[k]:
+            if k == n:
+                return Diagram([Crossing(tuple(flat[4 * i:4 * i + 4]))
+                                for i in range(n)], basepoint=1)
+            bits[k] = 0
+            flat[4 * k:4 * k + 4] = ends[k][0]
+            k += 1
+            continue
+        # Backtrack to the deepest crossing still on bit 0 and flip it.
+        k -= 1
+        while k and bits[k]:
+            k -= 1
+        if k:
+            bits[k] = 1
+            flat[4 * k:4 * k + 4] = ends[k][1]
+            k += 1
     raise NotRealizable(f"DT code {text!r} has no planar realization")
 
 
