@@ -1,8 +1,13 @@
+import gc
+import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
+
+from knotmoves import cli, finitetype
 
 CLI = [sys.executable, "-m", "knotmoves.cli"]
 
@@ -163,3 +168,53 @@ def test_cache_corruption_detected(corpus_file, tmp_path):
     code, rec2, _ = run("invariants", str(corpus_file), "--cache", str(cache))
     assert code == 0
     assert strip_header(rec1) == strip_header(rec2)  # bad records were ignored
+
+
+def test_cache_records_of_another_schema_are_recomputed(corpus_file, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    code, rec1, _ = run("invariants", str(corpus_file), "--cache", str(cache))
+    assert code == 0
+    stale = []
+    for i, line in enumerate(cache.read_text().splitlines()):
+        rec = json.loads(line)
+        assert rec["schema"] == 1
+        # A checksum-valid record with a wrong payload and no (or another) schema.
+        rec["payload"]["v2"] = 99
+        rec["sha"] = hashlib.sha256(
+            json.dumps(rec["payload"], sort_keys=True).encode()).hexdigest()
+        if i % 2:
+            rec["schema"] = 2
+        else:
+            del rec["schema"]
+        stale.append(json.dumps(rec, sort_keys=True))
+    cache.write_text("\n".join(stale) + "\n")
+    code, rec2, _ = run("invariants", str(corpus_file), "--cache", str(cache))
+    assert code == 0
+    assert strip_header(rec1) == strip_header(rec2)
+    assert len(cache.read_text().splitlines()) == 2 * len(stale)
+
+
+def test_invariants_closes_the_cache_file(corpus_file, tmp_path, capsys):
+    cache = str(tmp_path / "cache.jsonl")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["invariants", str(corpus_file), "--cache", cache]) == 0
+        assert cli.main(["invariants", str(tmp_path / "missing.tsv"),
+                         "--cache", cache]) == 2
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_verify_type_shortfall_fails(monkeypatch, tmp_path, capsys):
+    # Every family construction fails, so no trial reaches a sum.
+    monkeypatch.setattr(finitetype, "random_family", lambda *args, **kwargs: None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "verify_type", "phi": "v2", "orders": [2, 2], "trials": 3,
+         "seed": 1}]}))
+    assert cli.main(["verify", "--config", str(cfg)]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[-2:] == [
+        {"record": "suite-result", "suite": "verify_type", "pass": False},
+        {"record": "verdict", "pass": False}]
