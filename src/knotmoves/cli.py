@@ -53,8 +53,8 @@ class Cache:
 
     Records carry the schema version they were written under; records of
     another version (or none) are ignored, so a changed formula or key
-    format cannot serve stale payloads.  Use as a context manager so that
-    the append handle is closed.
+    format cannot serve stale payloads.  Close it, or use it as a context
+    manager, to release the append handle.
     """
 
     SCHEMA = 1
@@ -80,13 +80,16 @@ class Cache:
                 pass
             self._fh = open(path, "a")
 
+    def close(self) -> None:
+        if self._fh:
+            self._fh.close()
+            self._fh = None
+
     def __enter__(self) -> "Cache":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._fh:
-            self._fh.close()
-            self._fh = None
+        self.close()
 
     def get(self, key: str):
         return self.data.get(key)

@@ -263,8 +263,8 @@ def test_parse_dt_matches_reference_on_random_codes(knots):
             evens = list(range(2, 2 * n + 1, 2))
             rng.shuffle(evens)
             codes.append([rng.choice((e, -e)) for e in evens])
-    for name, d in sorted(knots.items()):
-        p = random_perturb(d, 8, seed=len(codes), max_extra=5)
+    for _, d in sorted(knots.items()):
+        p = random_perturb(d, 8, seed=8, max_extra=5)
         if 8 <= p.n_crossings <= 12:
             codes.append([rng.choice((a, -a)) for a in map(int, emit_dt(p).split())])
     seen = {False: set(), True: set()}
