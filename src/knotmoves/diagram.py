@@ -486,7 +486,8 @@ def parse_dt(text: str) -> Diagram:
     the order of the full 2^(n-1) enumeration.  The search stays
     exponential: codes of more than 14 crossings raise DTCapExceeded (a
     limit, not a verdict), since emitted codes of 17-24 crossings already
-    take up to about 1.3 s each against under 0.01 s at 14.
+    take up to about 1.3 s each against under 0.01 s at 14 (Python 3.11,
+    one core of a 2-core VM).
     """
     stripped = text.strip()
     if not stripped:
