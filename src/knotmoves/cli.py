@@ -74,7 +74,7 @@ class Cache:
                                 json.dumps(payload, sort_keys=True).encode()).hexdigest()
                             if digest == rec["sha"] and rec.get("schema") == self.SCHEMA:
                                 self.data[rec["key"]] = payload
-                        except (KeyError, ValueError):
+                        except (KeyError, TypeError, ValueError):
                             continue
             except FileNotFoundError:
                 pass

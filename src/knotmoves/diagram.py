@@ -18,7 +18,8 @@ addressable as edge 0 for attachment purposes.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -65,6 +66,13 @@ class Fragment:
 
     Immutable after construction.  ``legs`` lists the edge ids that end on
     the boundary, in ccw order around the boundary circle.
+
+    The walks run on flat tables over slot codes (``_slots``): slot s of
+    crossing ci is code ``4*ci + s`` and leg li is code ``4*n + li``, for
+    n crossings.  ``mate[p]`` is the code at the other end of p's edge,
+    ``dart[p]`` the dart leaving from p, and ``order`` lists the codes by
+    dart.  So ``q ^ 2`` is the slot across the crossing from q, and
+    ``(q & ~3) | ((q + 1) & 3)`` the next slot ccw.
     """
 
     def __init__(self, crossings: Iterable[Crossing] = (), legs: Sequence[int] = (),
@@ -91,11 +99,34 @@ class Fragment:
     def edges(self) -> list[int]:
         return sorted(self.occurrences)
 
+    @cached_property
+    def _slots(self) -> tuple[list[int], list[Dart], list[int]]:
+        """(mate, dart, order): the slot tables and the codes sorted by dart.
+
+        Raises MalformedDiagram unless every edge has exactly two ends.
+        """
+        ends = [e for c in self.crossings for e in c.ends]
+        ends.extend(self.legs)
+        # A stable sort puts the two ends of each edge side by side, in code order.
+        order = sorted(range(len(ends)), key=ends.__getitem__)
+        tails, heads = order[0::2], order[1::2]
+        edges = list(map(ends.__getitem__, tails))
+        if edges != list(map(ends.__getitem__, heads)) or len(set(edges)) != len(edges):
+            counts = Counter(ends)
+            e = next(e for e, k in counts.items() if k != 2)
+            raise MalformedDiagram(
+                f"edge {e} occurs {counts[e]} times (expected exactly 2)")
+        mate = [0] * len(ends)
+        dart: list[Dart] = [(0, 0)] * len(ends)
+        for p, q, e in zip(tails, heads, edges):
+            mate[p] = q
+            mate[q] = p
+            dart[p] = (e, 0)
+            dart[q] = (e, 1)
+        return mate, dart, order
+
     def check_edge_pairing(self) -> None:
-        for e, occs in self.occurrences.items():
-            if len(occs) != 2:
-                raise MalformedDiagram(
-                    f"edge {e} occurs {len(occs)} times (expected exactly 2)")
+        self._slots  # building the tables checks the pairing
 
     # -- traversal -------------------------------------------------------
 
@@ -103,49 +134,50 @@ class Fragment:
         e, d = dart
         return self.occurrences[e][1 - d]
 
-    def _leg_dart(self, li: int) -> Dart:
-        """The dart entering the fragment from boundary leg ``li``."""
-        e = self.legs[li]
-        return (e, 0 if self.occurrences[e][0] == ("b", li, 0) else 1)
-
-    def _strand_walk(self, start: Dart) -> list[Dart]:
-        """Follow the strand from ``start`` to a boundary leg or back to ``start``."""
+    def _strand_walk(self, start: int) -> list[int]:
+        """Codes left from along the strand from ``start``, to a leg or back to it."""
+        mate = self._slots[0]
+        legs_from = 4 * len(self.crossings)
         walk = [start]
-        while True:
-            kind, ci, slot = self._arrival(walk[-1])
-            if kind != "x":
-                return walk
-            out = (slot + 2) % 4
-            f = self.crossings[ci].ends[out]
-            dart = (f, 0 if self.occurrences[f][0] == ("x", ci, out) else 1)
-            if dart == start:
-                return walk
-            walk.append(dart)
+        q = mate[start]
+        while q < legs_from:
+            q ^= 2
+            if q == start:
+                break
+            walk.append(q)
+            q = mate[q]
+        return walk
 
-    def boundary_strands(self) -> list[list[Dart]]:
-        """Strand walks from each leg to its partner leg, in leg order."""
-        self.check_edge_pairing()
+    def boundary_strands(self) -> list[list[int]]:
+        """Strand walks (as codes) from each leg to its partner leg, in leg order."""
+        mate = self._slots[0]
+        legs_from = 4 * len(self.crossings)
         strands = []
         ends: set[int] = set()
         for li in range(len(self.legs)):
             if li not in ends:
-                walk = self._strand_walk(self._leg_dart(li))
-                ends.add(self._arrival(walk[-1])[1])
+                walk = self._strand_walk(legs_from + li)
+                ends.add(mate[walk[-1]] - legs_from)
                 strands.append(walk)
         return strands
 
-    def closed_components(self) -> list[list[Dart]]:
-        """Strand walks of the closed components.
+    def closed_components(self) -> list[list[int]]:
+        """Strand walks (as codes) of the closed components.
 
         Each starts in dir 0 at the smallest edge that no boundary strand or
         earlier walk has visited.
         """
-        visited = {e for walk in self.boundary_strands() for e, _ in walk}
+        mate, _, order = self._slots
+        seen = bytearray(len(mate))
         comps = []
-        for e in self.edges():
-            if e not in visited:
-                walk = self._strand_walk((e, 0))
-                visited.update(f for f, _ in walk)
+        for walk in self.boundary_strands():
+            for p in walk:
+                seen[p] = seen[mate[p]] = 1
+        for start in order:
+            if not seen[start]:
+                walk = self._strand_walk(start)
+                for p in walk:
+                    seen[p] = seen[mate[p]] = 1
                 comps.append(walk)
         return comps
 
@@ -153,15 +185,6 @@ class Fragment:
         return len(self.closed_components()) + len(self.boundary_strands()) + self.free_loops
 
     # -- faces -----------------------------------------------------------
-
-    def _next_face_dart(self, dart: Dart) -> Dart:
-        kind, ci, slot = self._arrival(dart)
-        if kind == "b":
-            return (dart[0], 1 - dart[1])
-        nxt = (slot + 1) % 4
-        f = self.crossings[ci].ends[nxt]
-        d = 0 if self.occurrences[f][0] == ("x", ci, nxt) else 1
-        return (f, d)
 
     def face_walks(self) -> list[list[Dart]]:
         """Orbits of the left-turn dart map; each walk keeps its face on the right.
@@ -175,20 +198,21 @@ class Fragment:
     def _face_walks(self) -> list[list[Dart]]:
         if not self.crossings and self.free_loops == 1 and not self.legs:
             return [[(0, 0)], [(0, 1)]]
-        seen: set[Dart] = set()
+        mate, dart, order = self._slots
+        legs_from = 4 * len(self.crossings)
+        seen = bytearray(len(mate))
         walks = []
-        for e in self.edges():
-            for d in (0, 1):
-                start = (e, d)
-                if start in seen:
-                    continue
-                walk = []
-                cur = start
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur)
-                    cur = self._next_face_dart(cur)
-                walks.append(walk)
+        for p in order:
+            if seen[p]:
+                continue
+            walk = []
+            while not seen[p]:
+                seen[p] = 1
+                walk.append(dart[p])
+                q = mate[p]
+                # A leg turns the walk back along its own edge.
+                p = q if q >= legs_from else (q & ~3) | ((q + 1) & 3)
+            walks.append(walk)
         return walks
 
     def is_planar(self) -> bool:
@@ -197,8 +221,17 @@ class Fragment:
             return True
         if self.legs or self.free_loops:
             raise ValueError("planarity test applies to closed connected fragments")
-        n = self.n_crossings
-        return len(self.face_walks()) == n + 2
+        mate = self._slots[0]
+        seen = bytearray(len(mate))
+        faces = 0
+        for p in range(len(mate)):
+            if not seen[p]:
+                faces += 1
+                while not seen[p]:
+                    seen[p] = 1
+                    q = mate[p]
+                    p = (q & ~3) | ((q + 1) & 3)
+        return faces == self.n_crossings + 2
 
     def max_edge_id(self) -> int:
         ids = list(self.occurrences)
@@ -241,7 +274,22 @@ class _IdJoiner:
             self.parent[rv] = ru
 
     def apply(self, crossings: Iterable[Crossing]) -> list[Crossing]:
-        return [Crossing(tuple(self.find(e) for e in c.ends)) for c in crossings]  # type: ignore[arg-type]
+        root = {x: self.find(x) for x in self.parent}.get
+        # A Crossing is the 1-tuple of its ends.
+        return [Crossing((root(a, a), root(b, b), root(c, c), root(d, d)))
+                for (a, b, c, d), in crossings]
+
+
+@lru_cache(maxsize=128)
+def _token_ranks(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Ranks in string order of the key tokens ``str(label) + tail``, indexed
+    by ``4*label + tail``, and the token strings by rank."""
+    words = [str(k // 4) + ("o+", "o-", "u+", "u-")[k % 4] for k in range(4 * n)]
+    order = sorted(range(4 * n), key=words.__getitem__)
+    rank = [0] * (4 * n)
+    for r, k in enumerate(order):
+        rank[k] = r
+    return tuple(rank), tuple(words[k] for k in order)
 
 
 class Diagram(Fragment):
@@ -251,7 +299,7 @@ class Diagram(Fragment):
                  basepoint: int | None = None, check: bool = True):
         super().__init__(crossings, (), free_loops)
         if basepoint is None:
-            basepoint = min(self.occurrences) if self.occurrences else 0
+            basepoint = min(min(c.ends) for c in self.crossings) if self.crossings else 0
         self.basepoint = basepoint
         if check:
             self.validate()
@@ -275,60 +323,48 @@ class Diagram(Fragment):
             raise MalformedDiagram(f"diagram has {len(comps)} components (expected 1)")
         if len(comps[0]) != 2 * self.n_crossings:
             raise MalformedDiagram("traversal does not cover every edge")
-        if self.basepoint not in self.occurrences:
+        if not any(self.basepoint in c.ends for c in self.crossings):
             raise MalformedDiagram(f"basepoint edge {self.basepoint} not present")
 
     # -- derived orientation data ---------------------------------------
 
     @cached_property
-    def knot_walk(self) -> list[Dart]:
-        """Canonical traversal: starts at the basepoint edge with dir 0.
+    def knot_walk(self) -> list[int]:
+        """Canonical traversal, as the slot codes it leaves from.
 
-        When the basepoint edge is a kink loop, both of its ends sit at one
-        crossing and dir 0 is arbitrary; the walk then follows the PD
-        convention instead, arriving at an under end in slot 0 or leaving
-        one in slot 2.
+        It starts at the basepoint edge with dir 0.  When the basepoint edge
+        is a kink loop, both of its ends sit at one crossing and dir 0 is
+        arbitrary; the walk then follows the PD convention instead, arriving
+        at an under end in slot 0 or leaving one in slot 2.
         """
         if not self.crossings:
             return []
-        occ = self.occurrences[self.basepoint]
-        d = 0
-        if occ[0][1] == occ[1][1]:
-            under = 0 if occ[0][2] % 2 == 0 else 1
-            d = 1 - under if occ[under][2] == 0 else under
-        return self._strand_walk((self.basepoint, d))
+        mate, dart, _ = self._slots
+        p = dart.index((self.basepoint, 0))
+        q = mate[p]
+        if p >> 2 == q >> 2:
+            under, other = (p, q) if p % 2 == 0 else (q, p)
+            p = other if under & 3 == 0 else under
+        return self._strand_walk(p)
 
     @cached_property
     def passages(self) -> list[tuple[int, int]]:
         """(crossing index, arrival slot) at each traversal step."""
-        out = []
-        for dart in self.knot_walk:
-            kind, ci, slot = self._arrival(dart)
-            out.append((ci, slot))
-        return out
+        mate = self._slots[0]
+        return [divmod(mate[p], 4) for p in self.knot_walk]
 
     @cached_property
     def signs(self) -> tuple[int, ...]:
         """Crossing signs derived from the canonical traversal."""
-        in_slots: dict[int, list[int]] = {}
+        u_in = [-1] * self.n_crossings
+        o_in = [-1] * self.n_crossings
         for ci, slot in self.passages:
-            in_slots.setdefault(ci, []).append(slot)
-        signs = [0] * self.n_crossings
-        for ci, slots in in_slots.items():
-            u_in = next(s for s in slots if s in (0, 2))
-            o_in = next(s for s in slots if s in (1, 3))
-            signs[ci] = 1 if (o_in - u_in) % 4 == 3 else -1
-        return tuple(signs)
+            (o_in if slot % 2 else u_in)[ci] = slot
+        return tuple(0 if u < 0 else 1 if (o - u) % 4 == 3 else -1
+                     for u, o in zip(u_in, o_in))
 
     def writhe(self) -> int:
         return sum(self.signs)
-
-    def _gauss_sequence(self, reverse: bool = False) -> list[tuple[int, bool, int]]:
-        """(crossing, is_over, sign) per passage, optionally reversed traversal."""
-        seq = [(ci, slot in (1, 3), self.signs[ci]) for ci, slot in self.passages]
-        if reverse:
-            seq = seq[::-1]
-        return seq
 
     @cached_property
     def canonical_key(self) -> str:
@@ -339,49 +375,39 @@ class Diagram(Fragment):
         """
         if not self.crossings:
             return "unknot"
-        # Every rotation labels its first passage 0, so only rotations whose
-        # first token has the minimal tail can win.  All candidates have the
-        # same length (each label occurs twice), so a candidate is compared
-        # with the best string token by token and dropped as soon as it is
-        # larger; once it is smaller it is finished without compares.
-        labels = [str(i) for i in range(self.n_crossings)]
-        best: str | None = None
-        for reverse in (False, True):
-            seq = self._gauss_sequence(reverse)
-            m = len(seq)
-            tails = [("o" if over else "u") + ("+" if sign > 0 else "-")
-                     for _, over, sign in seq]
-            head = min(tails)
-            cis = [ci for ci, _, _ in seq] * 2
-            tails *= 2
+        # A passage is (crossing, tail), tails numbered in string order
+        # "o+" < "o-" < "u+" < "u-".  Every rotation labels its first
+        # passage 0, so only rotations starting on the minimal tail can win.
+        # Candidates are lists of token ranks, which order like the token
+        # strings; no token is a proper prefix of another (each ends in a
+        # sign), so the joined strings compare the same way.  All candidates
+        # have the same length, so a candidate is dropped at its first token
+        # above the best, and once below it is finished without compares.
+        rank, words = _token_ranks(self.n_crossings)
+        signs = self.signs
+        seq = [(ci, (slot % 2 == 0) * 2 + (signs[ci] < 0)) for ci, slot in self.passages]
+        m = len(seq)
+        best: list[int] = []
+        for walk in (seq, seq[::-1]):
+            head = min(t for _, t in walk)
+            twice = walk * 2
             for r in range(m):
-                if tails[r] != head:
+                if walk[r][1] != head:
                     continue
-                label: dict[int, str] = {}
-                parts = []
-                tied = best is not None
-                pos = 0
-                for i in range(r, r + m):
-                    ci = cis[i]
-                    lab = label.get(ci)
-                    if lab is None:
-                        lab = label[ci] = labels[len(label)]
-                    tok = lab + tails[i]
-                    parts.append(tok)
-                    if tied:
-                        end = pos + len(tok)
-                        ref = best[pos:end]  # type: ignore[index]
-                        if tok != ref:
-                            if tok > ref:
-                                break
-                            tied = False
-                        # A token ends in a sign, and a sign is always
-                        # followed by ";" or the end of the string.
-                        pos = end + 1
+                label: dict[int, int] = {}
+                cand: list[int] = []
+                tied = bool(best)
+                for ci, t in twice[r:r + m]:
+                    tok = rank[4 * label.setdefault(ci, len(label)) + t]
+                    if tied and tok != best[len(cand)]:
+                        if tok > best[len(cand)]:
+                            break
+                        tied = False
+                    cand.append(tok)
                 else:
                     if not tied:
-                        best = ";".join(parts)
-        return best  # type: ignore[return-value]
+                        best = cand
+        return ";".join(words[k] for k in best)
 
     # -- basic operations -------------------------------------------------
 
@@ -455,8 +481,9 @@ def emit_pd(d: Diagram) -> str:
     if not d.crossings:
         return ""
     number: dict[int, int] = {}
-    for i, (e, _) in enumerate(d.knot_walk):
-        number[e] = i + 1
+    dart = d._slots[1]
+    for i, p in enumerate(d.knot_walk):
+        number[dart[p][0]] = i + 1
     under_in: dict[int, int] = {}
     order: list[int] = []
     for ci, slot in d.passages:

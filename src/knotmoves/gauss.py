@@ -67,11 +67,13 @@ def to_gauss(d: Diagram) -> GaussDiagram:
 
 def _chords(d: Diagram) -> list[tuple[int, int, bool, int]]:
     """(f, g, first passage is the tail, sign) per crossing, sorted by f."""
-    at: dict[int, list[int]] = {}
-    for pos, (ci, _) in enumerate(d.passages):
-        at.setdefault(ci, []).append(pos)
-    return sorted((f, g, d.passages[f][1] % 2 == 1, d.signs[ci])
-                  for ci, (f, g) in at.items())
+    passages, signs = d.passages, d.signs
+    first = [-1] * d.n_crossings
+    second = [-1] * d.n_crossings
+    for pos, (ci, _) in enumerate(passages):
+        (second if first[ci] >= 0 else first)[ci] = pos
+    return sorted((f, g, passages[f][1] % 2 == 1, signs[ci])
+                  for ci, (f, g) in enumerate(zip(first, second)))
 
 
 def _v2_count(chords) -> int:

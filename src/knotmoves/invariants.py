@@ -71,12 +71,8 @@ def _split_groups(frag: Fragment) -> list[Fragment]:
     comps = frag.closed_components()
     if not comps:
         return []
-    comp_crossings = []
-    for walk in comps:
-        cset = set()
-        for dart in walk:
-            cset.add(frag._arrival(dart)[1])
-        comp_crossings.append((walk, cset))
+    mate = frag._slots[0]
+    comp_crossings = [(walk, {mate[p] // 4 for p in walk}) for walk in comps]
     groups: list[list[int]] = []
     assigned = [-1] * len(comps)
     for i in range(len(comps)):

@@ -14,15 +14,15 @@ by identifying the top ends pairwise.
 
 from __future__ import annotations
 
-from .diagram import Crossing, Dart, Fragment, _IdJoiner
+from .diagram import Crossing, Fragment, _IdJoiner
 from .moves import simplify_fragment
 
 
 class Tangle(Fragment):
-    def _end_legs(self, walk: list[Dart]) -> tuple[int, int]:
+    def _end_legs(self, walk: list[int]) -> tuple[int, int]:
         """Leg indices where a boundary strand walk starts and ends."""
-        e, d = walk[0]
-        return self.occurrences[e][d][1], self._arrival(walk[-1])[1]
+        legs_from = 4 * self.n_crossings
+        return walk[0] - legs_from, self._slots[0][walk[-1]] - legs_from
 
     def strand_legs(self) -> list[tuple[int, int]]:
         """Leg-index pairs connected by a strand, ordered by first leg."""
@@ -41,7 +41,8 @@ class Tangle(Fragment):
         """Remove one strand (indexed per strand_legs), smoothing its crossings."""
         walk = self.boundary_strands()[strand]
         li, lj = self._end_legs(walk)
-        dead = {e for e, _ in walk}
+        dart = self._slots[1]
+        dead = {dart[p][0] for p in walk}
         joiner = _IdJoiner()
         kept = []
         for c in self.crossings:
@@ -81,16 +82,19 @@ def tangle_key(t: Fragment) -> str:
     is walked from its smallest edge id, so a relabelled closed fragment,
     such as a bracket state, may key differently.
     """
-    walks = [t._strand_walk(t._leg_dart(li)) for li in range(len(t.legs))]
+    mate = t._slots[0]
+    legs_from = 4 * t.n_crossings
+    walks = [t._strand_walk(legs_from + li) for li in range(len(t.legs))]
     label: dict[int, int] = {}
     first_slot: dict[int, int] = {}
     parts = []
     for walk in walks + t.closed_components():
         sub = []
-        for dart in walk:
-            kind, ci, slot = t._arrival(dart)
-            if kind == "b":
-                sub.append(f">{ci}")
+        for p in walk:
+            q = mate[p]
+            ci, slot = divmod(q, 4)
+            if q >= legs_from:
+                sub.append(f">{q - legs_from}")
             elif ci not in label:
                 label[ci] = len(label)
                 first_slot[ci] = slot

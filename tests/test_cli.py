@@ -170,6 +170,29 @@ def test_cache_corruption_detected(corpus_file, tmp_path):
     assert strip_header(rec1) == strip_header(rec2)  # bad records were ignored
 
 
+def test_cache_skips_json_lines_that_are_not_records(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    trefoil = tmp_path / "trefoil.tsv"
+    trefoil.write_text("trefoil\t4 6 2\n")
+    code, rec1, _ = run("invariants", str(trefoil), "--cache", str(cache))
+    assert code == 0
+    valid = cache.read_text().splitlines()
+    assert len(valid) == 1
+    # Make the valid record the only source of the answer: a recomputation
+    # would say v2 = 1, the cached payload says 7.
+    rec = json.loads(valid[0])
+    rec["payload"]["v2"] = 7
+    rec["sha"] = hashlib.sha256(
+        json.dumps(rec["payload"], sort_keys=True).encode()).hexdigest()
+    cache.write_text("\n".join(["[1, 2]", "5", '"x"', "null",
+                                json.dumps(rec, sort_keys=True), "{}"]) + "\n")
+    code, rec2, _ = run("invariants", str(trefoil), "--cache", str(cache))
+    assert code == 0
+    [out] = strip_header(rec2)
+    assert out["v2"] == 7
+    assert len(cache.read_text().splitlines()) == 6  # a hit appends nothing
+
+
 def test_cache_records_of_another_schema_are_recomputed(corpus_file, tmp_path):
     cache = tmp_path / "cache.jsonl"
     code, rec1, _ = run("invariants", str(corpus_file), "--cache", str(cache))

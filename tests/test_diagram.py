@@ -12,13 +12,21 @@ from knotmoves.gauss import to_gauss
 from knotmoves.moves import random_perturb
 
 
+def _gauss_sequence(self, reverse: bool = False) -> list[tuple[int, bool, int]]:
+    """(crossing, is_over, sign) per passage, optionally reversed traversal."""
+    seq = [(ci, slot in (1, 3), self.signs[ci]) for ci, slot in self.passages]
+    if reverse:
+        seq = seq[::-1]
+    return seq
+
+
 def reference_key(d: Diagram) -> str:
     """The unpruned O(m^2) key: every rotation in both directions, as strings."""
     if not d.crossings:
         return "unknot"
     best = None
     for reverse in (False, True):
-        seq = d._gauss_sequence(reverse)
+        seq = _gauss_sequence(d, reverse)
         m = len(seq)
         for r in range(m):
             label: dict[int, int] = {}
