@@ -115,7 +115,12 @@ def _knot_payload(d: Diagram) -> dict:
 
 
 def cmd_invariants(args, out) -> int:
-    with Cache(args.cache) as cache:
+    try:
+        cache = Cache(args.cache)
+    except OSError as exc:
+        print(f"cannot use cache {args.cache}: {exc}", file=sys.stderr)
+        return 2
+    with cache:
         _header(out)
         if args.input == "-":
             lines = sys.stdin.read().splitlines()
@@ -349,7 +354,7 @@ def cmd_path_replay(args, out) -> int:
         d = _parse_code(args.diagram)
         with open(args.script) as fh:
             script = [tuple(e) for e in json.load(fh)]
-    except (OSError, ValueError, MalformedDiagram, NotRealizable) as exc:
+    except (OSError, TypeError, ValueError, MalformedDiagram, NotRealizable) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     _header(out)
@@ -364,7 +369,7 @@ def cmd_path_replay(args, out) -> int:
         ok = replay_path(d, script, target)
         _emit(out, {"record": "replay", "ok": ok, "target": target})
         return 0 if ok else 1
-    except (MalformedDiagram, ValueError) as exc:
+    except (IndexError, TypeError, MalformedDiagram, ValueError) as exc:
         _emit(out, {"record": "replay", "ok": False, "error": str(exc)})
         return 1
 

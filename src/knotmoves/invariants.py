@@ -9,15 +9,10 @@ Conway polynomial from an Alexander-matrix determinant).
 from __future__ import annotations
 
 import math
-import threading
 
-from . import moves
-from .diagram import Diagram, Fragment, _IdJoiner
+from .diagram import Crossing, Diagram
 from .poly import LaurentPolynomial
-from .tangles import tangle_key
 
-_A = LaurentPolynomial.monomial(1)
-_Ainv = LaurentPolynomial.monomial(-1)
 _DELTA = LaurentPolynomial({2: -1, -2: -1})
 
 BRACKET_CROSSING_LIMIT = 20
@@ -27,112 +22,62 @@ class CrossingLimitExceeded(ValueError):
     pass
 
 
-class _Memo:
-    """Thread-safe insert-if-absent cache (results are deterministic)."""
-
-    def __init__(self) -> None:
-        self._data: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value):
-        with self._lock:
-            return self._data.setdefault(key, value)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
 # -- Kauffman bracket ---------------------------------------------------------
 
-_CURL_FACTORS = {
-    0: LaurentPolynomial({3: -1}),   # loop at slots (0,1) or (2,3): -A^3
-    1: LaurentPolynomial({-3: -1}),  # loop at slots (1,2) or (3,0): -A^-3
-}
+def _join(match: dict[int, int], x: int, y: int) -> int:
+    """Add the arc x-y to the matching of open ends; return 1 if it closes a loop.
+
+    An end that is already open is extended to its partner; the partners'
+    stale entries are overwritten by the new pair.
+    """
+    if x == y:
+        return 1
+    x2, y2 = match.pop(x, x), match.pop(y, y)
+    if x2 == y:
+        return 1
+    match[x2], match[y2] = y2, x2
+    return 0
 
 
-def _smooth_unoriented(frag: Fragment, ci: int, mode: str) -> Fragment:
-    c = frag.crossings[ci]
-    joiner = _IdJoiner()
-    if mode == "A":
-        joiner.join(c.ends[0], c.ends[1])
-        joiner.join(c.ends[2], c.ends[3])
-    else:
-        joiner.join(c.ends[1], c.ends[2])
-        joiner.join(c.ends[3], c.ends[0])
-    rest = [x for i, x in enumerate(frag.crossings) if i != ci]
-    return Fragment(joiner.apply(rest), (), frag.free_loops + joiner.loops)
+def _contract(crossings: tuple[Crossing, ...]) -> LaurentPolynomial:
+    """Bracket of a knot by planar contraction, normalized so <unknot> = 1.
 
-
-def _split_groups(frag: Fragment) -> list[Fragment]:
-    """Split a closed fragment into crossing-connected groups."""
-    comps = frag.closed_components()
-    if not comps:
-        return []
-    mate = frag._slots[0]
-    comp_crossings = [(walk, {mate[p] // 4 for p in walk}) for walk in comps]
-    groups: list[list[int]] = []
-    assigned = [-1] * len(comps)
-    for i in range(len(comps)):
-        if assigned[i] >= 0:
-            continue
-        group = [i]
-        assigned[i] = len(groups)
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for k in range(len(comps)):
-                if assigned[k] < 0 and comp_crossings[j][1] & comp_crossings[k][1]:
-                    assigned[k] = len(groups)
-                    group.append(k)
-                    stack.append(k)
-        groups.append(group)
-    out = []
-    for group in groups:
-        cis = sorted(set().union(*(comp_crossings[i][1] for i in group)))
-        out.append(Fragment([frag.crossings[ci] for ci in cis], (), 0))
-    return out
-
-
-_bracket_memo = _Memo()
-
-
-def _bracket_raw(frag: Fragment) -> LaurentPolynomial:
-    """Standard-normalized bracket: <single circle> = 1, <X + circle> = delta <X>."""
-    factor = LaurentPolynomial.one()
-    loops = frag.free_loops
-    frag = Fragment(frag.crossings, (), 0)
-    while True:
-        curls = moves.r1_removal_sites(frag)
-        if curls:
-            ci = curls[0][1]
-            factor = factor * _CURL_FACTORS[moves._kink_slot(frag.crossings[ci]) % 2]
-            frag = moves.r1_remove(frag, ci)
-        else:
-            bigons = moves.r2_removal_sites(frag)
-            if not bigons:
-                break
-            frag = moves.r2_remove(frag, *bigons[0][1:])
-        loops += frag.free_loops
-        frag = Fragment(frag.crossings, (), 0)
-    if not frag.crossings:
-        return factor * _DELTA ** (loops - 1)
-    factor = factor * _DELTA ** loops
-    groups = _split_groups(frag)
-    if len(groups) > 1:
-        value = _DELTA ** (len(groups) - 1)
-        for g in groups:
-            value = value * _bracket_raw(g)
-        return factor * value
-    key = tangle_key(frag)
-    cached = _bracket_memo.get(key)
-    if cached is None:
-        a_val = _bracket_raw(_smooth_unoriented(frag, 0, "A"))
-        b_val = _bracket_raw(_smooth_unoriented(frag, 0, "B"))
-        cached = _bracket_memo.put(key, _A * a_val + _Ainv * b_val)
-    return factor * cached
+    Crossings are added one at a time, the next being the one with the most
+    edges already open (lowest index on ties).  The states map each matching
+    of the open edges, stored as the partner of each open edge in sorted
+    order, to its polynomial.  An A-smoothing joins slots (0,1),(2,3) with
+    weight A, a B-smoothing (1,2),(3,0) with weight A^-1, and each closed
+    loop multiplies by delta.  Slot 0 of crossing 0 gets the label -1, which
+    cuts the knot open there: its strand never closes, so no division by
+    delta is needed and the one matching left holds <D>.
+    """
+    ends = [list(c.ends) for c in crossings]
+    ends[0][0] = -1
+    todo = list(range(len(ends)))
+    open_edges: set[int] = set()
+    boundary: list[int] = []
+    states = {(): LaurentPolynomial.one()}
+    while todo:
+        ci = max(todo, key=lambda i: (sum(e in open_edges for e in ends[i]), -i))
+        todo.remove(ci)
+        a, b, c, d = ends[ci]
+        for e in (a, b, c, d):
+            open_edges ^= {e}
+        new_boundary = sorted(open_edges)
+        out: dict[tuple[int, ...], LaurentPolynomial] = {}
+        for key, value in states.items():
+            for shift, (x, y, z, w) in ((1, (a, b, c, d)), (-1, (b, c, d, a))):
+                match = dict(zip(boundary, key))
+                loops = _join(match, x, y) + _join(match, z, w)
+                term = value.shift(shift)
+                for _ in range(loops):
+                    term = term * _DELTA
+                new_key = tuple(map(match.__getitem__, new_boundary))
+                old = out.get(new_key)
+                out[new_key] = term if old is None else old + term
+        states, boundary = out, new_boundary
+    (value,) = states.values()
+    return value
 
 
 def kauffman_bracket(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> LaurentPolynomial:
@@ -142,7 +87,7 @@ def kauffman_bracket(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> Laurent
             f"{d.n_crossings} crossings exceeds bracket limit {limit}")
     if not d.crossings:
         return LaurentPolynomial.one()
-    return _bracket_raw(Fragment(d.crossings, (), 0))
+    return _contract(d.crossings)
 
 
 def jones(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> LaurentPolynomial:

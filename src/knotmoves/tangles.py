@@ -79,8 +79,8 @@ def tangle_key(t: Fragment) -> str:
     rebuild each crossing up to its two-slot rotation gauge, so equal keys
     mean fragments equal up to edge relabelling.  The key is canonical under
     relabelling only when every component touches a leg: a closed component
-    is walked from its smallest edge id, so a relabelled closed fragment,
-    such as a bracket state, may key differently.
+    is walked from its smallest edge id, so a relabelled closed fragment
+    may key differently.  The Kauffman bracket keys no states by it.
     """
     mate = t._slots[0]
     legs_from = 4 * t.n_crossings

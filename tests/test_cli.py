@@ -241,3 +241,25 @@ def test_verify_type_shortfall_fails(monkeypatch, tmp_path, capsys):
     assert records[-2:] == [
         {"record": "suite-result", "suite": "verify_type", "pass": False},
         {"record": "verdict", "pass": False}]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_invariants_unusable_cache_path_exit_2(corpus_file, tmp_path, where):
+    # A directory fails to open for reading, a file under a missing directory
+    # fails to open for appending; both are usage errors, not assertion failures.
+    cache = tmp_path if where == "directory" else tmp_path / "nowhere" / "cache.jsonl"
+    code, records, err = run("invariants", str(corpus_file), "--cache", str(cache))
+    assert code == 2
+    assert records == []
+    assert err.startswith(f"cannot use cache {cache}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("script", [[["r1-", 99]], [["r2+", 1, 0]], [["switch", "a"]]])
+def test_path_replay_entry_that_cannot_apply(tmp_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code, records, err = run("path-replay", "--diagram", "4 6 2", "--script", str(path))
+    assert code == 1
+    [rec] = strip_header(records)
+    assert rec["record"] == "replay" and rec["ok"] is False and rec["error"]
+    assert "Traceback" not in err

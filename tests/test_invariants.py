@@ -3,13 +3,16 @@ import random
 
 import pytest
 
-from knotmoves.diagram import Diagram, Fragment, parse_dt
-from knotmoves.invariants import (CrossingLimitExceeded, _smooth_unoriented, conway, jones,
-                                  kauffman_bracket, v2_conway, v2_jones, v3_jones,
-                                  vassiliev_report)
+from knotmoves import gauss
+from knotmoves.diagram import Diagram, Fragment, _IdJoiner, parse_dt
+from knotmoves.finitetype import random_family
+from knotmoves.invariants import (CrossingLimitExceeded, _v2_from_jones, _v3_from_jones,
+                                  conway, jones, kauffman_bracket, v2_conway, v2_jones,
+                                  v3_jones, vassiliev_report)
 from knotmoves.moves import r1_add, random_perturb, replay
 from knotmoves.poly import LaurentPolynomial as L
 from knotmoves.tangles import tangle_key
+from knotmoves.templates import family
 
 
 def brute_bracket(d: Diagram) -> L:
@@ -65,6 +68,33 @@ def test_bracket_kinks(unknot):
 def test_bracket_matches_brute_enumeration(code):
     d = parse_dt(code)
     assert kauffman_bracket(d) == brute_bracket(d)
+
+
+def test_bracket_matches_brute_on_perturbed_corpus(knots):
+    # The contraction order depends on the labelling; R-moves reshuffle it.
+    sizes = []
+    for i, name in enumerate(sorted(knots)):
+        if knots[name].n_crossings > 6:
+            continue
+        for seed in (i, 50 + i):
+            p = random_perturb(knots[name], 12, seed=seed, max_extra=4)
+            sizes.append(p.n_crossings)
+            assert kauffman_bracket(p) == brute_bracket(p), (name, seed)
+    assert len(sizes) == 20 and max(sizes) == 11
+
+
+@pytest.mark.parametrize("chirality", [1, -1])
+def test_bracket_cut_on_a_kink_loop(knots, chirality):
+    # The contraction cuts the knot at slot 0 of crossing 0; put that slot on
+    # the loop of a fresh kink, so the cut strand is also a curl.
+    for name in ("3_1", "4_1", "6_2"):
+        d = knots[name]
+        kinked = r1_add(d, d.crossings[1].ends[2], chirality)
+        curl = kinked.crossings[-1].rotated(2)
+        assert curl.ends[0] in (curl.ends[1], curl.ends[3])
+        first = Diagram((curl,) + kinked.crossings[:-1])
+        assert kauffman_bracket(first) == brute_bracket(first)
+        assert kauffman_bracket(first) == L({3 * chirality: -1}) * kauffman_bracket(d)
 
 
 def test_bracket_crossing_limit(left_trefoil):
@@ -156,9 +186,23 @@ def test_conway_golden_perturbed(knots):
     assert len(sizes) == 35 and sizes.count(17) == 12
 
 
+def _smooth_unoriented(frag: Fragment, ci: int, mode: str) -> Fragment:
+    c = frag.crossings[ci]
+    joiner = _IdJoiner()
+    if mode == "A":
+        joiner.join(c.ends[0], c.ends[1])
+        joiner.join(c.ends[2], c.ends[3])
+    else:
+        joiner.join(c.ends[1], c.ends[2])
+        joiner.join(c.ends[3], c.ends[0])
+    rest = [x for i, x in enumerate(frag.crossings) if i != ci]
+    return Fragment(joiner.apply(rest), (), frag.free_loops + joiner.loops)
+
+
 def test_bracket_state_key_golden(knots):
-    # Memo keys of closed states: every corpus knot, three perturbed copies,
-    # and each of their one-crossing A and B smoothings (multi-loop states).
+    # Keys of closed multi-loop fragments: every corpus knot, three perturbed
+    # copies, and each of their one-crossing A and B smoothings (the states
+    # the earlier bracket recursion keyed its memo by).
     import hashlib
 
     keys = []
@@ -189,6 +233,24 @@ def test_conway_even_powers_only(knots):
 def test_v2_routes_agree(knots):
     for name, d in knots.items():
         assert v2_conway(d) == v2_jones(d), name
+
+
+def test_v2_v3_jones_equal_gauss_on_large_family_members(knots):
+    # Above the default bracket limit, on the smallest and largest member of
+    # 30-60 crossings of seeded (3, 3, 2) families of the corpus.
+    rng = random.Random(3)
+    sizes = []
+    for name, d in sorted(knots.items()):
+        fam = random_family(d, (3, 3, 2), rng)
+        if fam is None:
+            continue
+        members = sorted((m for m in family(fam).values() if 30 <= m.n_crossings <= 60),
+                         key=lambda m: m.n_crossings)
+        for m in members[:1] + members[1:][-1:]:
+            v = jones(m, limit=m.n_crossings)
+            assert (_v2_from_jones(v), _v3_from_jones(v)) == (gauss.v2(m), gauss.v3(m)), name
+            sizes.append(m.n_crossings)
+    assert len(sizes) == 50 and min(sizes) == 30 and max(sizes) == 59
 
 
 def test_v3_jones_calibration(right_trefoil, left_trefoil):
