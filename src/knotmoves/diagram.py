@@ -55,9 +55,8 @@ class Crossing(NamedTuple):
         return Crossing(tuple(mapping.get(e, e) for e in self.ends))  # type: ignore[arg-type]
 
 
-# An occurrence of an edge end: ("x", crossing_index, slot) or ("b", leg_index, 0).
-Occ = tuple[str, int, int]
-# A dart travels edge e from occurrence[dir] toward occurrence[1 - dir].
+# A dart (e, dir) travels edge e away from its lower slot code when dir is 0,
+# from its higher one when dir is 1.
 Dart = tuple[int, int]
 
 
@@ -86,18 +85,10 @@ class Fragment:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    @cached_property
-    def occurrences(self) -> dict[int, list[Occ]]:
-        occ: dict[int, list[Occ]] = {}
-        for ci, c in enumerate(self.crossings):
-            for slot, e in enumerate(c.ends):
-                occ.setdefault(e, []).append(("x", ci, slot))
-        for li, e in enumerate(self.legs):
-            occ.setdefault(e, []).append(("b", li, 0))
-        return occ
-
     def edges(self) -> list[int]:
-        return sorted(self.occurrences)
+        """The edge ids in increasing order."""
+        _, dart, order = self._slots
+        return [dart[p][0] for p in order[0::2]]
 
     @cached_property
     def _slots(self) -> tuple[list[int], list[Dart], list[int]]:
@@ -128,11 +119,21 @@ class Fragment:
     def check_edge_pairing(self) -> None:
         self._slots  # building the tables checks the pairing
 
-    # -- traversal -------------------------------------------------------
+    def _with_ends(self, new: dict[int, int]) -> tuple[list[Crossing], list[int]]:
+        """Copies of the crossing records and legs with the edge id at each
+        slot code of ``new`` replaced by its value."""
+        crossings, legs = list(self.crossings), list(self.legs)
+        legs_from = 4 * len(crossings)
+        for q, e in new.items():
+            if q >= legs_from:
+                legs[q - legs_from] = e
+            else:
+                ends = list(crossings[q >> 2].ends)
+                ends[q & 3] = e
+                crossings[q >> 2] = Crossing(tuple(ends))  # type: ignore[arg-type]
+        return crossings, legs
 
-    def _arrival(self, dart: Dart) -> Occ:
-        e, d = dart
-        return self.occurrences[e][1 - d]
+    # -- traversal -------------------------------------------------------
 
     def _strand_walk(self, start: int) -> list[int]:
         """Codes left from along the strand from ``start``, to a leg or back to it."""
@@ -192,13 +193,19 @@ class Fragment:
         Computed once per fragment (fragments are immutable); callers share
         the returned lists and must not mutate them.
         """
-        return self._face_walks
+        return self._face_darts
 
     @cached_property
-    def _face_walks(self) -> list[list[Dart]]:
+    def _face_darts(self) -> list[list[Dart]]:
         if not self.crossings and self.free_loops == 1 and not self.legs:
             return [[(0, 0)], [(0, 1)]]
-        mate, dart, order = self._slots
+        dart = self._slots[1]
+        return [[dart[p] for p in walk] for walk in self._face_walks]
+
+    @cached_property
+    def _face_walks(self) -> list[list[int]]:
+        """The face walks as the codes they leave from (none for a bare circle)."""
+        mate, _, order = self._slots
         legs_from = 4 * len(self.crossings)
         seen = bytearray(len(mate))
         walks = []
@@ -208,7 +215,7 @@ class Fragment:
             walk = []
             while not seen[p]:
                 seen[p] = 1
-                walk.append(dart[p])
+                walk.append(p)
                 q = mate[p]
                 # A leg turns the walk back along its own edge.
                 p = q if q >= legs_from else (q & ~3) | ((q + 1) & 3)
@@ -234,8 +241,8 @@ class Fragment:
         return faces == self.n_crossings + 2
 
     def max_edge_id(self) -> int:
-        ids = list(self.occurrences)
-        return max(ids) if ids else 0
+        _, dart, order = self._slots
+        return dart[order[-1]][0] if order else 0
 
     def relabeled(self, mapping: dict[int, int]) -> "Fragment":
         return type(self)([c.relabeled(mapping) for c in self.crossings],
@@ -243,7 +250,7 @@ class Fragment:
 
     def shifted(self, delta: int):
         """Add ``delta`` to every edge id; subclasses keep their class."""
-        return self.relabeled({e: e + delta for e in self.occurrences})
+        return self.relabeled({e: e + delta for e in self.edges()})
 
 
 class _IdJoiner:
@@ -430,20 +437,10 @@ class Diagram(Fragment):
         d2 = other.shifted(shift)
         e1 = self.basepoint
         e2 = d2.basepoint
-        # Cut both basepoint edges and reconnect crosswise, respecting the
-        # canonical flow occ0 -> occ1 on each.
-        cr1 = list(self.crossings)
-        cr2 = list(d2.crossings)
-        (k1, c1, s1) = self.occurrences[e1][1]
-        (k2, c2, s2) = d2.occurrences[e2][1]
-        assert k1 == "x" and k2 == "x"
-        # e1 now flows into d2's head occurrence, e2 into d1's.
-        ends2 = list(cr2[c2].ends)
-        ends2[s2] = e1
-        cr2[c2] = Crossing(tuple(ends2))
-        ends1 = list(cr1[c1].ends)
-        ends1[s1] = e2
-        cr1[c1] = Crossing(tuple(ends1))
+        # Cut both basepoint edges and reconnect crosswise along the dir-0
+        # darts: e1 now flows into the end where e2 arrived, and e2 into e1's.
+        cr1, _ = self._with_ends({self._slots[1].index((e1, 1)): e2})
+        cr2, _ = d2._with_ends({d2._slots[1].index((e2, 1)): e1})
         return Diagram(cr1 + cr2, 0, self.basepoint)
 
 

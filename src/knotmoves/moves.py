@@ -18,7 +18,7 @@ import random
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from .diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram, _IdJoiner
+from .diagram import Crossing, Diagram, Fragment, MalformedDiagram, _IdJoiner
 
 Script = list[tuple]
 
@@ -72,46 +72,33 @@ def r1_remove(frag: Fragment, ci: int) -> Fragment:
 
 
 def r1_add(frag: Fragment, edge: int, chirality: int) -> Fragment:
-    occ = frag.occurrences
-    if edge not in occ:
+    try:
+        q = frag._slots[1].index((edge, 1))
+    except ValueError:
         if frag.free_loops == 1 and not frag.crossings and edge == 0:
             # Kink on the bare circle: one big arc plus the curl loop.
             a, g = 1, 2
             ends = (a, a, g, g) if chirality > 0 else (a, g, g, a)
             return _rebuild(frag, [Crossing(ends)], frag.legs, 0)
-        raise InapplicableMove(f"edge {edge} not present")
+        raise InapplicableMove(f"edge {edge} not present") from None
     fresh = frag.max_edge_id() + 1
     b, g = fresh, fresh + 1
-    crossings = list(frag.crossings)
-    legs = list(frag.legs)
-    kind, xi, slot = occ[edge][1]
-    if kind == "x":
-        ends = list(crossings[xi].ends)
-        ends[slot] = b
-        crossings[xi] = Crossing(tuple(ends))
-    else:
-        legs[xi] = b
+    crossings, legs = frag._with_ends({q: b})
     crossings.append(Crossing((edge, b, g, g) if chirality > 0 else (edge, g, g, b)))
     return _rebuild(frag, crossings, tuple(legs), frag.free_loops)
 
 
 # -- R2 ---------------------------------------------------------------------
 
-def _bigon_faces(frag: Fragment) -> list[tuple[Dart, Dart]]:
-    out = []
-    for walk in frag.face_walks():
-        if len(walk) != 2:
-            continue
-        (x, _), (y, _) = walk
-        if x == y:
-            continue
-        occx = frag.occurrences[x]
-        if any(k == "b" for k, _, _ in occx + frag.occurrences[y]):
-            continue
-        cis = {occx[0][1], occx[1][1]}
-        if len(cis) == 2:
-            out.append((walk[0], walk[1]))
-    return out
+def _bigon_faces(frag: Fragment) -> list[list[int]]:
+    """Face walks (as codes) of two distinct edges between two crossings.
+
+    A walk that meets a leg turns back along the leg's edge and so repeats
+    an edge: bigons never touch a leg.
+    """
+    mate = frag._slots[0]
+    return [w for w in frag._face_walks
+            if len(w) == 2 and w[1] != mate[w[0]] and w[0] >> 2 != mate[w[0]] >> 2]
 
 
 def _strand_slot(c: Crossing, edge: int) -> int:
@@ -119,25 +106,18 @@ def _strand_slot(c: Crossing, edge: int) -> int:
 
 
 def r2_removal_sites(frag: Fragment) -> list[tuple]:
+    mate, dart, _ = frag._slots
     sites = []
     seen = set()
-    for dx, dy in _bigon_faces(frag):
-        x, y = dx[0], dy[0]
-        occx, occy = frag.occurrences[x], frag.occurrences[y]
-        if {o[1] for o in occx} != {o[1] for o in occy}:
-            continue
-        ci, cj = sorted({o[1] for o in occx})
+    for p, q in _bigon_faces(frag):
+        # p leaves corner p >> 2 for corner q >> 2 and q leaves it back, in
+        # adjacent slots: the two edges lie on two strands.  The bigon is
+        # removable when p's edge takes the same strand (under or over) at
+        # both corners.
+        x, y = dart[p][0], dart[q][0]
+        ci, cj = sorted((p >> 2, q >> 2))
         key = (ci, cj, *sorted((x, y)))
-        if key in seen:
-            continue
-        cx, cy = frag.crossings[ci], frag.crossings[cj]
-        if any(cr.ends.count(e) != 1 for cr in (cx, cy) for e in (x, y)):
-            continue
-        sx_i, sx_j = _strand_slot(cx, x), _strand_slot(cy, x)
-        sy_i, sy_j = _strand_slot(cx, y), _strand_slot(cy, y)
-        if (sy_i - sx_i) % 2 == 0 or (sy_j - sx_j) % 2 == 0:
-            continue  # bigon arcs on one strand: not an R2 pattern
-        if (sx_i % 2) == (sx_j % 2):
+        if key not in seen and p & 1 == mate[p] & 1:
             seen.add(key)
             sites.append(("r2-", ci, cj, x, y))
     return sites
@@ -170,7 +150,7 @@ def r2_add_sites(frag: Fragment, max_faces: int | None = None) -> list[tuple]:
         for i in range(m):
             for j in range(i + 1, m):
                 (e, de), (f, df) = walk[i], walk[j]
-                if e == f or e not in frag.occurrences or f not in frag.occurrences:
+                if e == f:
                     continue
                 sites.append(("r2+", e, de, f, df, True))
                 sites.append(("r2+", e, de, f, df, False))
@@ -178,25 +158,14 @@ def r2_add_sites(frag: Fragment, max_faces: int | None = None) -> list[tuple]:
 
 
 def r2_add(frag: Fragment, e: int, de: int, f: int, df: int, over: bool) -> Fragment:
-    occ = frag.occurrences
-    if e not in occ or f not in occ or e == f:
+    # The ends where the darts (e, de) and (f, df) arrive get the new flanks.
+    dart = frag._slots[1]
+    ends = (e, 1 - de), (f, 1 - df)
+    if e == f or ends[0] not in dart or ends[1] not in dart:
         raise InapplicableMove("R2 push needs two distinct existing edges")
     fresh = frag.max_edge_id() + 1
     a2, b2, m, w = fresh, fresh + 1, fresh + 2, fresh + 3
-    crossings = list(frag.crossings)
-    legs = list(frag.legs)
-
-    def _replace(occurrence, old, new):
-        kind, idx, slot = occurrence
-        if kind == "x":
-            ends = list(crossings[idx].ends)
-            ends[slot] = new
-            crossings[idx] = Crossing(tuple(ends))
-        else:
-            legs[idx] = new
-
-    _replace(occ[e][1 - de], e, a2)
-    _replace(occ[f][1 - df], f, b2)
+    crossings, legs = frag._with_ends({dart.index(ends[0]): a2, dart.index(ends[1]): b2})
     # Face walks keep the face on the right, so the two strands run
     # antiparallel along the face: e dips across f with flanks wired as
     # (e=a1) -cW- m -cE- a2 and (f=b1) -cE- w -cW- b2.
@@ -212,21 +181,14 @@ def r2_add(frag: Fragment, e: int, de: int, f: int, df: int, over: bool) -> Frag
 
 # -- R3 / triangle slides ----------------------------------------------------
 
-def triangle_faces(frag: Fragment) -> list[list[Dart]]:
-    out = []
-    for walk in frag.face_walks():
-        if len(walk) != 3:
-            continue
-        edges = [d[0] for d in walk]
-        if len(set(edges)) != 3:
-            continue
-        if any(e not in frag.occurrences
-               or any(k == "b" for k, _, _ in frag.occurrences[e]) for e in edges):
-            continue
-        corners = {frag._arrival(d)[1] for d in walk}
-        if len(corners) == 3:
-            out.append(walk)
-    return out
+def triangle_faces(frag: Fragment) -> list[list[int]]:
+    """Face walks (as codes) of three distinct edges between three crossings.
+
+    Like bigons, they never touch a leg: a walk that meets one repeats an edge.
+    """
+    mate, dart, _ = frag._slots
+    return [w for w in frag._face_walks if len(w) == 3
+            and len({dart[p][0] for p in w}) == 3 and len({mate[p] >> 2 for p in w}) == 3]
 
 
 def triangle_slide_sites(frag: Fragment, kind: str = "r3") -> list[tuple]:
@@ -235,23 +197,20 @@ def triangle_slide_sites(frag: Fragment, kind: str = "r3") -> list[tuple]:
     for walk in triangle_faces(frag):
         for moving in range(3):
             site = _classify_slide(frag, walk, moving)
-            if site is not None and site[0] == kind:
+            if site[0] == kind:
                 sites.append(site)
     return sites
 
 
-def _classify_slide(frag: Fragment, walk: Sequence[Dart], moving: int):
-    # walk darts: eA arrives at P, eB at Q, eC at R; edges around the face.
-    darts = list(walk[moving:]) + list(walk[:moving])
-    x12 = darts[1][0]
-    _, c1, _ = frag._arrival(darts[0])
-    _, c2, _ = frag._arrival(darts[1])
-    _, c3, _ = frag._arrival(darts[2])
-    x31, x23 = darts[0][0], darts[2][0]
-    s1 = _strand_slot(frag.crossings[c1], x12)
-    s2 = _strand_slot(frag.crossings[c2], x12)
-    coherent = (s1 % 2) == (s2 % 2)
-    return ("r3" if coherent else "delta", c1, c2, c3, x12, x23, x31)
+def _classify_slide(frag: Fragment, walk: list[int], moving: int) -> tuple:
+    # The walk leaves corner c3 along x31 for c1, along x12 for c2 and along
+    # x23 back to c3.  The slide is an R3 move when x12 takes the same
+    # strand (under or over) at c1 and c2.
+    mate, dart, _ = frag._slots
+    p31, p12, p23 = walk[moving:] + walk[:moving]
+    coherent = p12 & 1 == mate[p12] & 1
+    return ("r3" if coherent else "delta", mate[p31] >> 2, mate[p12] >> 2,
+            mate[p23] >> 2, dart[p12][0], dart[p23][0], dart[p31][0])
 
 
 def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
@@ -317,8 +276,16 @@ def reidemeister(d: Diagram, kind: int, site, direction: str) -> Diagram:
 
 # -- scripts ------------------------------------------------------------------
 
+# How many leading fields of each script entry are crossing indices.
+_CROSSING_FIELDS = {"r1-": 1, "r2-": 2, "r3": 3, "delta": 3, "switch": 1}
+
+
 def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
     op = entry[0]
+    for ci in entry[1:1 + _CROSSING_FIELDS.get(op, 0)]:
+        # A bool is an int to Python, but JSON true is no crossing index.
+        if type(ci) is not int or not 0 <= ci < frag.n_crossings:
+            raise InapplicableMove(f"no crossing {ci!r}")
     if op == "r1-":
         return r1_remove(frag, entry[1])
     if op == "r1+":

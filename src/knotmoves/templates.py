@@ -37,9 +37,6 @@ from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
                       tangle_key)
 
 _ID_BLOCK = 4096
-# Fingers attach to walk-ordered sites in reversed order; fixed by the
-# planarity calibration in the test suite.
-_GLUE_REVERSED = True
 
 
 class InvalidSite(InapplicableMove):
@@ -182,17 +179,10 @@ class Chord:
         return cls(obj["template_k"], obj["kind"], sites, obj.get("variant", 0))
 
 
-def _face_positions(d: Diagram):
-    """dart -> (face index, position); plus the list of face walks."""
-    if not d.crossings:
-        walks = [[(0, 0)], [(0, 1)]]
-    else:
-        walks = d.face_walks()
-    where = {}
-    for wi, walk in enumerate(walks):
-        for pos, dart in enumerate(walk):
-            where[dart] = (wi, pos)
-    return where, walks
+def _face_positions(d: Diagram) -> dict[tuple[int, int], tuple[int, int]]:
+    """dart -> (face index, position in the face walk)."""
+    return {dart: (wi, pos) for wi, walk in enumerate(d.face_walks())
+            for pos, dart in enumerate(walk)}
 
 
 def _cut_points(chords_sites: Sequence[Sequence[Site]]) -> list[tuple[int, int]]:
@@ -214,12 +204,13 @@ def piece_id_map(d: Diagram, chords: Sequence["Chord"],
 
 
 def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]],
-               piece_ids: dict[tuple[int, int], int] | None = None) -> Diagram:
+               piece_ids: dict[tuple[int, int], int]) -> Diagram:
     """Glue several finger-form tangles into faces of the host in one pass.
 
-    Each entry is (sites, tangle, id_base).  Chords may share host edges as
-    long as their cut points differ and their site groups do not interleave
-    around any face.
+    Each entry is (sites, tangle, id_base); ``piece_ids`` names the edge
+    piece after each cut point (see ``piece_id_map``).  Chords may share
+    host edges as long as their cut points differ and their site groups do
+    not interleave around any face.
     """
     if not inserts:
         return d
@@ -232,7 +223,7 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
                  for i, site in enumerate(sites)]
     if len({(s[0], s[1]) for _, _, s in all_sites}) != len(all_sites):
         raise InvalidSite("duplicate cut points")
-    where, _walks = _face_positions(d)
+    where = _face_positions(d)
 
     def walk_key(entry):
         _, _, (edge, off, side) = entry
@@ -271,13 +262,8 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
                 if runs > 2:
                     raise InvalidSite("insertions interleave around a face")
 
-    if piece_ids is None:
-        piece_ids = {}
-        base = (d.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
-        for i, pt in enumerate(_cut_points([s for s, _, _ in inserts])):
-            piece_ids[pt] = base + 1 + i
-
-    crossings = list(d.crossings)
+    dart = d._slots[1]
+    new_ends: dict[int, int] = {}
     flanks: dict[tuple[int, int], tuple[int, int]] = {}
     by_edge: dict[int, list[tuple[int, int, Site]]] = {}
     for ci, i, site in all_sites:
@@ -287,28 +273,21 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
     for edge, entries in by_edge.items():
         entries = sorted(entries, key=lambda e: e[2][1])
         offs = [e[2][1] for e in entries]
-        if len(set(offs)) != len(offs):
-            raise InvalidSite(f"duplicate offsets on edge {edge}")
         if circle_host:
-            if edge != 0:
-                raise InvalidSite("the unknot host has only edge 0")
             pieces = [piece_ids[(edge, off)] for off in offs]
             for j, (ci, i, site) in enumerate(entries):
                 before, after = pieces[j - 1], pieces[j]
                 flanks[(ci, i)] = (before, after) if site[2] == 0 else (after, before)
             continue
-        occs = d.occurrences[edge]
-        if any(kind != "x" for kind, _, _ in occs):
-            raise InvalidSite(f"edge {edge} is not interior")
+        # The edge keeps the end that dart (edge, 0) leaves from; the last
+        # piece takes the end that it arrives at.
         chain = [edge] + [piece_ids[(edge, off)] for off in offs]
-        kind, xi, slot = occs[1]
-        ends = list(crossings[xi].ends)
-        ends[slot] = chain[-1]
-        crossings[xi] = Crossing(tuple(ends))
+        new_ends[dart.index((edge, 1))] = chain[-1]
         for j, (ci, i, site) in enumerate(entries):
             before, after = chain[j], chain[j + 1]
             flanks[(ci, i)] = (before, after) if site[2] == 0 else (after, before)
 
+    crossings, _ = d._with_ends(new_ends)
     joiner = _IdJoiner()
     blob_crossings: list[Crossing] = []
     for ci, (sites, tangle, id_base) in enumerate(inserts):
@@ -316,14 +295,14 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
         blob_crossings.extend(blob.crossings)
         mine = [entry for entry in keyed if entry[0] == ci]
         k = len(sites)
+        # Fingers attach to the walk-ordered sites in reversed order, each
+        # with its legs swapped; fixed by the planarity calibration in the
+        # test suite.
         for r, (_, i, _site) in enumerate(mine):
-            finger = (k - 1 - r) % k if _GLUE_REVERSED else r
+            finger = k - 1 - r
             first, second = flanks[(ci, i)]
-            la, lb = blob.legs[2 * finger], blob.legs[2 * finger + 1]
-            if _GLUE_REVERSED:
-                la, lb = lb, la
-            joiner.join(first, la)
-            joiner.join(second, lb)
+            joiner.join(first, blob.legs[2 * finger + 1])
+            joiner.join(second, blob.legs[2 * finger])
 
     all_crossings = joiner.apply(crossings + blob_crossings)
     out = Diagram(all_crossings, joiner.loops if not all_crossings else 0,
@@ -503,9 +482,8 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
         chords.extend(Chord(2, "switch", (ci,)) for ci in range(d.n_crossings))
     if k == 3:
         chords.extend(Chord(3, "delta", s[1:]) for s in triangle_slide_sites(d, "delta"))
-    _, walks = _face_positions(d)
     budget_left = cap
-    for walk in walks:
+    for walk in d.face_walks():
         if budget_left <= 0:
             break
         slots: list[Site] = []
@@ -547,9 +525,8 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
     `offset_base` shifts the subdivision offsets so several chords can cut
     the same edge at distinct points.
     """
-    _, walks = _face_positions(d)
     used_edges = used_edges or set()
-    walks = [w for w in walks
+    walks = [w for w in d.face_walks()
              if sum(1 for e, _ in w if e not in used_edges) >= 1]
     for _ in range(40):
         if not walks:

@@ -254,11 +254,19 @@ def test_invariants_unusable_cache_path_exit_2(corpus_file, tmp_path, where):
     assert err.startswith(f"cannot use cache {cache}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("script", [[["r1-", 99]], [["r2+", 1, 0]], [["switch", "a"]]])
-def test_path_replay_entry_that_cannot_apply(tmp_path, script):
+@pytest.mark.parametrize("diagram, script", [
+    ("4 6 2", [["r1-", 99]]),
+    ("4 6 2", [["r2+", 1, 0]]),
+    ("4 6 2", [["switch", "a"]]),
+    # Python would read -1 as the last crossing and JSON true as crossing 1.
+    ("4 6 2", [["switch", -1]]),
+    ("4 6 2", [["switch", True]]),
+    ("X(1,1,2,2)", [["r1-", -1]]),
+], ids=[f"script{i}" for i in range(6)])
+def test_path_replay_entry_that_cannot_apply(tmp_path, diagram, script):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))
-    code, records, err = run("path-replay", "--diagram", "4 6 2", "--script", str(path))
+    code, records, err = run("path-replay", "--diagram", diagram, "--script", str(path))
     assert code == 1
     [rec] = strip_header(records)
     assert rec["record"] == "replay" and rec["ok"] is False and rec["error"]

@@ -1,29 +1,55 @@
-"""The slot-table walks against the dict-based walks they replaced.
+"""The slot-table walks and move-site finders against the dict-based code
+they replaced.
 
-The ``reference_*`` functions are the dict-based traversal of ``Fragment``
-and ``Diagram`` as it was before the walks moved onto flat slot tables,
-kept verbatim (methods turned into functions of ``self``).  They are the
-oracle: face walks, strand walks, passages, signs and planarity must agree
+The ``reference_*`` functions are the traversal of ``Fragment`` and
+``Diagram`` and the site finders of ``moves`` as they were when they read
+the edge-keyed ``occurrences`` dict, kept verbatim (methods turned into
+functions of ``self``, ``self.occurrences`` into ``reference_occurrences``).
+They are the oracle: face walks, strand walks, passages, signs, planarity,
+bigon and triangle faces, slide classes and the R1/R2 additions must agree
 on perturbed corpus diagrams, large family members, tangles with legs and
 the 0-crossing unknot.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
 from knotmoves.corpus import corpus
-from knotmoves.diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram, Occ
+from knotmoves.diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram
 from knotmoves.finitetype import random_family
-from knotmoves.moves import random_perturb
+from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _rebuild,
+                             _strand_slot, r1_add, r2_add, r2_add_sites, r2_removal_sites,
+                             random_perturb, triangle_faces)
 from knotmoves.tangles import Builder, Tangle, clasp_word
-from knotmoves.templates import InvalidSite, _glue_many, builtin_templates, family
+from knotmoves.templates import InvalidSite, builtin_templates, family, glue_insertion
+
+# An occurrence of an edge end: ("x", crossing_index, slot) or ("b", leg_index, 0).
+Occ = tuple[str, int, int]
 
 
 # -- the dict-based walks ------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def reference_occurrences(self) -> dict[int, list[Occ]]:
+    """The ends of each edge in code order; cached per fragment, since a
+    rebuild per call makes the large-member checks take minutes."""
+    occ: dict[int, list[Occ]] = {}
+    for ci, c in enumerate(self.crossings):
+        for slot, e in enumerate(c.ends):
+            occ.setdefault(e, []).append(("x", ci, slot))
+    for li, e in enumerate(self.legs):
+        occ.setdefault(e, []).append(("b", li, 0))
+    return occ
+
+
+def reference_edges(self) -> list[int]:
+    return sorted(reference_occurrences(self))
+
+
 def reference_check_edge_pairing(self) -> None:
-    for e, occs in self.occurrences.items():
+    for e, occs in reference_occurrences(self).items():
         if len(occs) != 2:
             raise MalformedDiagram(
                 f"edge {e} occurs {len(occs)} times (expected exactly 2)")
@@ -31,13 +57,13 @@ def reference_check_edge_pairing(self) -> None:
 
 def reference_arrival(self, dart: Dart) -> Occ:
     e, d = dart
-    return self.occurrences[e][1 - d]
+    return reference_occurrences(self)[e][1 - d]
 
 
 def reference_leg_dart(self, li: int) -> Dart:
     """The dart entering the fragment from boundary leg ``li``."""
     e = self.legs[li]
-    return (e, 0 if self.occurrences[e][0] == ("b", li, 0) else 1)
+    return (e, 0 if reference_occurrences(self)[e][0] == ("b", li, 0) else 1)
 
 
 def reference_strand_walk(self, start: Dart) -> list[Dart]:
@@ -49,7 +75,7 @@ def reference_strand_walk(self, start: Dart) -> list[Dart]:
             return walk
         out = (slot + 2) % 4
         f = self.crossings[ci].ends[out]
-        dart = (f, 0 if self.occurrences[f][0] == ("x", ci, out) else 1)
+        dart = (f, 0 if reference_occurrences(self)[f][0] == ("x", ci, out) else 1)
         if dart == start:
             return walk
         walk.append(dart)
@@ -71,7 +97,7 @@ def reference_boundary_strands(self) -> list[list[Dart]]:
 def reference_closed_components(self) -> list[list[Dart]]:
     visited = {e for walk in reference_boundary_strands(self) for e, _ in walk}
     comps = []
-    for e in self.edges():
+    for e in reference_edges(self):
         if e not in visited:
             walk = reference_strand_walk(self, (e, 0))
             visited.update(f for f, _ in walk)
@@ -85,7 +111,7 @@ def reference_next_face_dart(self, dart: Dart) -> Dart:
         return (dart[0], 1 - dart[1])
     nxt = (slot + 1) % 4
     f = self.crossings[ci].ends[nxt]
-    d = 0 if self.occurrences[f][0] == ("x", ci, nxt) else 1
+    d = 0 if reference_occurrences(self)[f][0] == ("x", ci, nxt) else 1
     return (f, d)
 
 
@@ -94,7 +120,7 @@ def reference_face_walks(self) -> list[list[Dart]]:
         return [[(0, 0)], [(0, 1)]]
     seen: set[Dart] = set()
     walks = []
-    for e in self.edges():
+    for e in reference_edges(self):
         for d in (0, 1):
             start = (e, d)
             if start in seen:
@@ -112,7 +138,7 @@ def reference_face_walks(self) -> list[list[Dart]]:
 def reference_knot_walk(self) -> list[Dart]:
     if not self.crossings:
         return []
-    occ = self.occurrences[self.basepoint]
+    occ = reference_occurrences(self)[self.basepoint]
     d = 0
     if occ[0][1] == occ[1][1]:
         under = 0 if occ[0][2] % 2 == 0 else 1
@@ -140,6 +166,142 @@ def reference_signs(self) -> tuple[int, ...]:
         o_in = next(s for s in slots if s in (1, 3))
         signs[ci] = 1 if (o_in - u_in) % 4 == 3 else -1
     return tuple(signs)
+
+
+# -- the dict-based move-site finders and R1/R2 additions ------------------------
+
+def reference_max_edge_id(self) -> int:
+    ids = list(reference_occurrences(self))
+    return max(ids) if ids else 0
+
+
+def reference_r1_add(frag: Fragment, edge: int, chirality: int) -> Fragment:
+    occ = reference_occurrences(frag)
+    if edge not in occ:
+        if frag.free_loops == 1 and not frag.crossings and edge == 0:
+            # Kink on the bare circle: one big arc plus the curl loop.
+            a, g = 1, 2
+            ends = (a, a, g, g) if chirality > 0 else (a, g, g, a)
+            return _rebuild(frag, [Crossing(ends)], frag.legs, 0)
+        raise InapplicableMove(f"edge {edge} not present")
+    fresh = reference_max_edge_id(frag) + 1
+    b, g = fresh, fresh + 1
+    crossings = list(frag.crossings)
+    legs = list(frag.legs)
+    kind, xi, slot = occ[edge][1]
+    if kind == "x":
+        ends = list(crossings[xi].ends)
+        ends[slot] = b
+        crossings[xi] = Crossing(tuple(ends))
+    else:
+        legs[xi] = b
+    crossings.append(Crossing((edge, b, g, g) if chirality > 0 else (edge, g, g, b)))
+    return _rebuild(frag, crossings, tuple(legs), frag.free_loops)
+
+
+def reference_bigon_faces(frag: Fragment) -> list[tuple[Dart, Dart]]:
+    out = []
+    for walk in frag.face_walks():
+        if len(walk) != 2:
+            continue
+        (x, _), (y, _) = walk
+        if x == y:
+            continue
+        occx = reference_occurrences(frag)[x]
+        if any(k == "b" for k, _, _ in occx + reference_occurrences(frag)[y]):
+            continue
+        cis = {occx[0][1], occx[1][1]}
+        if len(cis) == 2:
+            out.append((walk[0], walk[1]))
+    return out
+
+
+def reference_r2_removal_sites(frag: Fragment) -> list[tuple]:
+    sites = []
+    seen = set()
+    for dx, dy in reference_bigon_faces(frag):
+        x, y = dx[0], dy[0]
+        occx, occy = reference_occurrences(frag)[x], reference_occurrences(frag)[y]
+        if {o[1] for o in occx} != {o[1] for o in occy}:
+            continue
+        ci, cj = sorted({o[1] for o in occx})
+        key = (ci, cj, *sorted((x, y)))
+        if key in seen:
+            continue
+        cx, cy = frag.crossings[ci], frag.crossings[cj]
+        if any(cr.ends.count(e) != 1 for cr in (cx, cy) for e in (x, y)):
+            continue
+        sx_i, sx_j = _strand_slot(cx, x), _strand_slot(cy, x)
+        sy_i, sy_j = _strand_slot(cx, y), _strand_slot(cy, y)
+        if (sy_i - sx_i) % 2 == 0 or (sy_j - sx_j) % 2 == 0:
+            continue  # bigon arcs on one strand: not an R2 pattern
+        if (sx_i % 2) == (sx_j % 2):
+            seen.add(key)
+            sites.append(("r2-", ci, cj, x, y))
+    return sites
+
+
+def reference_r2_add(frag: Fragment, e: int, de: int, f: int, df: int,
+                     over: bool) -> Fragment:
+    occ = reference_occurrences(frag)
+    if e not in occ or f not in occ or e == f:
+        raise InapplicableMove("R2 push needs two distinct existing edges")
+    fresh = reference_max_edge_id(frag) + 1
+    a2, b2, m, w = fresh, fresh + 1, fresh + 2, fresh + 3
+    crossings = list(frag.crossings)
+    legs = list(frag.legs)
+
+    def _replace(occurrence, old, new):
+        kind, idx, slot = occurrence
+        if kind == "x":
+            ends = list(crossings[idx].ends)
+            ends[slot] = new
+            crossings[idx] = Crossing(tuple(ends))
+        else:
+            legs[idx] = new
+
+    _replace(occ[e][1 - de], e, a2)
+    _replace(occ[f][1 - df], f, b2)
+    if over:
+        cw = Crossing((w, e, b2, m))
+        ce = Crossing((f, a2, w, m))
+    else:
+        cw = Crossing((e, b2, m, w))
+        ce = Crossing((a2, w, m, f))
+    crossings.extend([cw, ce])
+    return _rebuild(frag, crossings, tuple(legs), frag.free_loops)
+
+
+def reference_triangle_faces(frag: Fragment) -> list[list[Dart]]:
+    out = []
+    for walk in frag.face_walks():
+        if len(walk) != 3:
+            continue
+        edges = [d[0] for d in walk]
+        if len(set(edges)) != 3:
+            continue
+        if any(e not in reference_occurrences(frag)
+               or any(k == "b" for k, _, _ in reference_occurrences(frag)[e])
+               for e in edges):
+            continue
+        corners = {reference_arrival(frag, d)[1] for d in walk}
+        if len(corners) == 3:
+            out.append(walk)
+    return out
+
+
+def reference_classify_slide(frag: Fragment, walk: list[Dart], moving: int):
+    # walk darts: eA arrives at P, eB at Q, eC at R; edges around the face.
+    darts = list(walk[moving:]) + list(walk[:moving])
+    x12 = darts[1][0]
+    _, c1, _ = reference_arrival(frag, darts[0])
+    _, c2, _ = reference_arrival(frag, darts[1])
+    _, c3, _ = reference_arrival(frag, darts[2])
+    x31, x23 = darts[0][0], darts[2][0]
+    s1 = _strand_slot(frag.crossings[c1], x12)
+    s2 = _strand_slot(frag.crossings[c2], x12)
+    coherent = (s1 % 2) == (s2 % 2)
+    return ("r3" if coherent else "delta", c1, c2, c3, x12, x23, x31)
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -201,6 +363,8 @@ def _darts(frag: Fragment, walks: list[list[int]]) -> list[list[Dart]]:
 
 
 def _check_fragment(frag: Fragment) -> None:
+    assert frag.edges() == reference_edges(frag)
+    assert frag.max_edge_id() == reference_max_edge_id(frag)
     assert frag.face_walks() == reference_face_walks(frag)
     mate, dart, order = frag._slots
     assert [dart[p] for p in order] == sorted(dart)
@@ -217,6 +381,40 @@ def _check_diagram(d: Diagram) -> None:
     assert d.passages == reference_passages(d)
     assert d.signs == reference_signs(d)
     assert d.is_planar() == (len(reference_face_walks(d)) == d.n_crossings + 2)
+
+
+def _outcome(move, *args):
+    try:
+        out = move(*args)
+    except InapplicableMove as exc:
+        return str(exc)
+    return type(out), out.crossings, out.legs, out.free_loops
+
+
+def _check_moves(frag: Fragment, stride: int = 1) -> None:
+    """Finders and R1/R2 additions against the dict-based ones; the
+    additions are tried at every ``stride``-th edge and R2 site."""
+    dart = frag._slots[1]
+    assert [tuple(dart[p] for p in w) for w in _bigon_faces(frag)] \
+        == reference_bigon_faces(frag)
+    assert r2_removal_sites(frag) == reference_r2_removal_sites(frag)
+    triangles = triangle_faces(frag)
+    assert [[dart[p] for p in w] for w in triangles] == reference_triangle_faces(frag)
+    for w in triangles:
+        for moving in range(3):
+            assert _classify_slide(frag, w, moving) == reference_classify_slide(
+                frag, [dart[p] for p in w], moving)
+    missing = reference_max_edge_id(frag) + 1
+    for e in reference_edges(frag)[::stride] + [0, missing]:
+        for chirality in (1, -1):
+            assert _outcome(r1_add, frag, e, chirality) \
+                == _outcome(reference_r1_add, frag, e, chirality)
+    pushes = [site[1:] for site in r2_add_sites(frag)[::stride]]
+    if frag.face_walks() and frag.face_walks()[0]:
+        e, de = frag.face_walks()[0][0]
+        pushes += [(e, de, missing, 0, True), (e, de, e, 1 - de, False)]
+    for push in pushes:
+        assert _outcome(r2_add, frag, *push) == _outcome(reference_r2_add, frag, *push)
 
 
 # -- tests ----------------------------------------------------------------------
@@ -292,4 +490,21 @@ def test_glue_many_refuses_an_insertion_off_the_plane():
     (e, side), *_ = host.face_walks()[0]
     tangle = builtin_templates()[2].insertion(0)
     with pytest.raises(InvalidSite, match="^insertion would leave the plane$"):
-        _glue_many(host, [([(e, 1, side), (e, 2, side)], tangle, 1000)])
+        glue_insertion(host, [(e, 1, side), (e, 2, side)], tangle, 1000)
+
+
+def test_move_finders_match_reference_on_perturbed_corpus(perturbed, unknot):
+    for d in perturbed + [unknot]:
+        _check_moves(d)
+    assert sum(len(r2_removal_sites(d)) for d in perturbed) > 0
+    assert sum(len(triangle_faces(d)) for d in perturbed) > 0
+
+
+def test_move_finders_match_reference_on_tangles():
+    for t in _tangles():
+        _check_moves(t)
+
+
+def test_move_finders_match_reference_on_large_family_members(large_members):
+    for d in large_members:
+        _check_moves(d, stride=11)
