@@ -3,7 +3,6 @@
 from .diagram import (
     Crossing,
     Diagram,
-    DTCapExceeded,
     Fragment,
     MalformedDiagram,
     NotRealizable,
@@ -21,7 +20,6 @@ from .templates import Chord, MoveTemplate, SingularFamily, builtin_templates
 __all__ = [
     "Chord",
     "Crossing",
-    "DTCapExceeded",
     "Diagram",
     "Fragment",
     "GaussDiagram",

@@ -31,13 +31,6 @@ class NotRealizable(ValueError):
     """Raised when a DT code admits no planar realization."""
 
 
-class DTCapExceeded(ValueError):
-    """Raised when a DT code is too long for the realizability search.
-
-    A limit of the search, not a fact about the code: it may be realizable.
-    """
-
-
 class Crossing(NamedTuple):
     """One crossing: edge ids at slots 0..3 ccw; slots (0,2) carry the under strand."""
 
@@ -497,6 +490,9 @@ def emit_pd(d: Diagram) -> str:
 
 # -- DT format ------------------------------------------------------------
 
+_DT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_dt(text: str) -> Diagram:
     """Parse a Dowker-Thistlethwaite code (space-separated even integers).
 
@@ -504,30 +500,33 @@ def parse_dt(text: str) -> Diagram:
     passage at the even position goes over exactly when the entry is
     positive.  Codes without a planar realization raise NotRealizable.
 
-    The orientation bits of the crossings are found by a depth-first search
-    that drops a prefix as soon as the crossings fixed so far span a
-    sub-diagram of positive genus; it returns the first planar pattern in
-    the order of the full 2^(n-1) enumeration.  The search stays
-    exponential: codes of more than 14 crossings raise DTCapExceeded (a
-    limit, not a verdict), since emitted codes of 17-24 crossings already
-    take up to about 1.3 s each against under 0.01 s at 14 (Python 3.11,
-    one core of a 2-core VM).
+    Each crossing has an orientation bit.  By the realizability criterion of
+    Dowker-Thistlethwaite (Topology Appl. 16, 1983), in the form of
+    Rosenstiehl's characterization of Gauss codes as proved by de Fraysseix
+    and Ossona de Mendez (Discrete Comput. Geom. 22, 1999), any two
+    interlaced crossings a, b of a planar realization satisfy
+
+        bit_a ^ bit_b == 1 ^ |N(a) & N(b)| ^ neg(a) ^ neg(b)  (mod 2),
+
+    with N(x) the crossings interlaced with x and neg(x) a negative entry.
+    The least crossing of each interlacement component gets bit 0 and a walk
+    carries the rule across the component.  That is the first planar pattern
+    in product order; a contradiction, or a result that fails the Euler
+    test, means there is none.
     """
     stripped = text.strip()
     if not stripped:
         return Diagram.unknot()
-    try:
-        entries = [int(tok) for tok in stripped.replace(",", " ").split()]
-    except ValueError as exc:
-        raise MalformedDiagram(f"bad DT token in {text!r}") from exc
+    tokens = stripped.replace(",", " ").split()
+    if not all(map(_DT_TOKEN.fullmatch, tokens)):
+        raise MalformedDiagram(f"bad DT token in {text!r}")
+    entries = [int(tok) for tok in tokens]
     n = len(entries)
     if any(a == 0 or a % 2 for a in entries):
         raise MalformedDiagram("DT entries must be nonzero even integers")
     evens = [abs(a) for a in entries]
     if sorted(evens) != list(range(2, 2 * n + 1, 2)):
         raise MalformedDiagram("DT even entries must be 2,4,...,2n in some order")
-    if n > 14:
-        raise DTCapExceeded("DT realizability search capped at 14 crossings")
 
     # Positions 1..2n around the circle; edge j runs from position j to j+1.
     # Crossing i has one record per orientation bit: bit 0 puts the outgoing
@@ -544,84 +543,34 @@ def parse_dt(text: str) -> Diagram:
         o_in, o_out = edge_before(over), over
         ends.append(((u_in, o_out, u_out, o_in), (u_in, o_in, u_out, o_out)))
 
-    # Edge e joins the owners of positions e and e % 2n + 1 whatever the
-    # bits, so it is inside the sub-diagram on crossings 0..k-1 from depth
-    # born[e] on.  At depth k that sub-ribbon graph, isolated crossings left
-    # out, has V vertices, E edges and C components; it is planar exactly
-    # when it has need[k] = 2C - V + E faces, and fewer faces means genus.
-    owner = [0] * (2 * n + 1)
+    # N(x) as a bit mask: the crossings passed once strictly between the
+    # two passages of x.  prefix[p] marks those passed once in 1..p.
+    prefix = [0] * (2 * n + 1)
     for i, even in enumerate(evens):
-        owner[2 * i + 1] = owner[even] = i
-    born = [0] + [max(owner[e], owner[e % (2 * n) + 1]) + 1
-                  for e in range(1, 2 * n + 1)]
-    label = list(range(n))
-    used: set[int] = set()
-    need = [0] * (n + 1)
-    edges = 0
-    for k in range(1, n + 1):
-        for e in range(1, 2 * n + 1):
-            if born[e] == k:
-                a, b = owner[e], owner[e % (2 * n) + 1]
-                used.update((a, b))
-                label = [label[b] if x == label[a] else x for x in label]
-                edges += 1
-        comps = len({label[x] for x in used})
-        need[k] = 2 * comps - len(used) + edges
-
-    # Faces are the orbits of the left-turn map on the inside slots: a slot
-    # goes to the other end of its edge, then to the next inside slot ccw.
-    flat = [0] * (4 * n)
-
-    def n_faces(k: int) -> int:
-        m = 4 * k
-        first = [-1] * (2 * n + 1)
-        other = [-1] * m
-        for p in range(m):
-            e = flat[p]
-            if born[e] <= k:
-                q = first[e]
-                if q < 0:
-                    first[e] = p
-                else:
-                    other[p], other[q] = q, p
-        seen = bytearray(m)
-        faces = 0
-        for p in range(m):
-            if other[p] >= 0 and not seen[p]:
-                faces += 1
-                while not seen[p]:
-                    seen[p] = 1
-                    q = other[p]
-                    base = q - q % 4
-                    p = base + (q + 1) % 4
-                    while other[p] < 0:
-                        p = base + (p + 1) % 4
-        return faces
-
-    # Depth-first over the bits of crossings 1..n-1 in product order (bit 0
-    # first), pruning a prefix whose sub-diagram already has genus: deleting
-    # edges never raises genus, so no completion of it is planar.  The first
-    # leaf reached is the first planar pattern of the full enumeration.
-    flat[0:4] = ends[0][0]
-    bits = [0] * n
-    k = 1
-    while k:
-        if n_faces(k) >= need[k]:
-            if k == n:
-                return Diagram([Crossing(tuple(flat[4 * i:4 * i + 4]))
-                                for i in range(n)], basepoint=1)
-            bits[k] = 0
-            flat[4 * k:4 * k + 4] = ends[k][0]
-            k += 1
+        prefix[2 * i + 1] = prefix[even] = 1 << i
+    for p in range(1, 2 * n + 1):
+        prefix[p] ^= prefix[p - 1]
+    nbrs = [prefix[2 * i + 1] ^ prefix[even] ^ (1 << i) for i, even in enumerate(evens)]
+    neg = [a < 0 for a in entries]
+    bits = [-1] * n
+    consistent = True
+    for root in range(n):
+        if bits[root] >= 0:
             continue
-        # Backtrack to the deepest crossing still on bit 0 and flip it.
-        k -= 1
-        while k and bits[k]:
-            k -= 1
-        if k:
-            bits[k] = 1
-            flat[4 * k:4 * k + 4] = ends[k][1]
-            k += 1
+        bits[root] = 0
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in (b for b in range(n) if nbrs[a] >> b & 1):
+                bit = (bits[a] ^ 1 ^ (nbrs[a] & nbrs[b]).bit_count() ^ neg[a] ^ neg[b]) & 1
+                if bits[b] < 0:
+                    bits[b] = bit
+                    stack.append(b)
+                consistent = consistent and bits[b] == bit
+    if consistent:
+        d = Diagram([Crossing(ends[i][bit]) for i, bit in enumerate(bits)], basepoint=1)
+        if d.is_planar():
+            return d
     raise NotRealizable(f"DT code {text!r} has no planar realization")
 
 

@@ -72,6 +72,8 @@ def r1_remove(frag: Fragment, ci: int) -> Fragment:
 
 
 def r1_add(frag: Fragment, edge: int, chirality: int) -> Fragment:
+    if chirality not in (1, -1):
+        raise InapplicableMove(f"chirality {chirality!r} is not 1 or -1")
     try:
         q = frag._slots[1].index((edge, 1))
     except ValueError:
@@ -276,16 +278,24 @@ def reidemeister(d: Diagram, kind: int, site, direction: str) -> Diagram:
 
 # -- scripts ------------------------------------------------------------------
 
+# The field types after the tag of each script entry.  Only the R2 over
+# flag is a bool: JSON true and 1.0 equal 1 but are no index or edge id.
+_TYPES = {"r1-": (int,), "r1+": (int, int), "r2-": (int,) * 4,
+          "r2+": (int,) * 4 + (bool,), "r3": (int,) * 6, "delta": (int,) * 6,
+          "switch": (int,)}
 # How many leading fields of each script entry are crossing indices.
 _CROSSING_FIELDS = {"r1-": 1, "r2-": 2, "r3": 3, "delta": 3, "switch": 1}
 
 
 def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
-    op = entry[0]
-    for ci in entry[1:1 + _CROSSING_FIELDS.get(op, 0)]:
-        # A bool is an int to Python, but JSON true is no crossing index.
-        if type(ci) is not int or not 0 <= ci < frag.n_crossings:
-            raise InapplicableMove(f"no crossing {ci!r}")
+    op, fields = entry[0], entry[1:]
+    if op not in _TYPES:
+        raise InapplicableMove(f"unknown move {op!r}")
+    if tuple(map(type, fields)) != _TYPES[op]:
+        raise InapplicableMove(f"bad fields for {op}: {list(fields)!r}")
+    for ci in fields[:_CROSSING_FIELDS.get(op, 0)]:
+        if not 0 <= ci < frag.n_crossings:
+            raise InapplicableMove(f"no crossing {ci}")
     if op == "r1-":
         return r1_remove(frag, entry[1])
     if op == "r1+":
@@ -296,11 +306,9 @@ def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
         return r2_add(frag, *entry[1:])
     if op in ("r3", "delta"):
         return triangle_slide(frag, *entry[1:])
-    if op == "switch":
-        crossings = list(frag.crossings)
-        crossings[entry[1]] = crossings[entry[1]].mirrored()
-        return _rebuild(frag, crossings)
-    raise InapplicableMove(f"unknown move {op!r}")
+    crossings = list(frag.crossings)  # a switch
+    crossings[entry[1]] = crossings[entry[1]].mirrored()
+    return _rebuild(frag, crossings)
 
 
 def replay(frag: Fragment, script: Sequence[Sequence]) -> Fragment:

@@ -53,6 +53,22 @@ def test_invariants_cache_reuse_byte_identical(corpus_file, tmp_path):
     assert strip_header(rec1) == strip_header(rec2)
 
 
+def test_invariants_on_a_dt_code_of_15_crossings(tmp_path):
+    # The right-handed torus knot T(2,15) as a DT code and as PD.
+    n = 15
+    dt = " ".join(str((2 * i + n) % (2 * n) + 1) for i in range(n))
+    pd = " ".join(f"X({(2 * k + n - 2) % (2 * n) + 1},{2 * k},{(2 * k + n - 1) % (2 * n) + 1},"
+                  f"{2 * k - 1})" for k in range(1, n + 1))
+    p = tmp_path / "t215.tsv"
+    p.write_text(f"dt\t{dt}\npd\t{pd}\n")
+    code, records, _ = run("invariants", str(p))
+    assert code == 0
+    by_dt, by_pd = strip_header(records)
+    assert by_dt["record"] == by_pd["record"] == "knot"
+    for field in ("key", "v2", "v3", "conway"):
+        assert by_dt[field] == by_pd[field], field
+
+
 def test_invariants_all_failures_exit_2(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("a\t3 5\nb\t4 4 2\n")
@@ -262,7 +278,16 @@ def test_invariants_unusable_cache_path_exit_2(corpus_file, tmp_path, where):
     ("4 6 2", [["switch", -1]]),
     ("4 6 2", [["switch", True]]),
     ("X(1,1,2,2)", [["r1-", -1]]),
-], ids=[f"script{i}" for i in range(6)])
+    # Each is a field away from ["r1+", 1, -1] or ["r2+", 1, 0, 4, 1, true]:
+    # JSON true and 1.0 are no edge id, 0 is no chirality, false and 2 are
+    # no dart direction and 1 is no over flag.
+    ("4 6 2", [["r1+", True, -1]]),
+    ("4 6 2", [["r1+", 1.0, -1]]),
+    ("4 6 2", [["r1+", 1, 0]]),
+    ("4 6 2", [["r2+", 1, False, 4, 1, True]]),
+    ("4 6 2", [["r2+", 1, 2, 4, 1, True]]),
+    ("4 6 2", [["r2+", 1, 0, 4, 1, 1]]),
+], ids=[f"script{i}" for i in range(12)])
 def test_path_replay_entry_that_cannot_apply(tmp_path, diagram, script):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))

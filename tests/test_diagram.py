@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotmoves.diagram import (Crossing, Diagram, DTCapExceeded, MalformedDiagram,
-                               NotRealizable, emit_dt, emit_pd, parse_dt, parse_pd)
+from knotmoves.diagram import (Crossing, Diagram, MalformedDiagram, NotRealizable,
+                               emit_dt, emit_pd, parse_dt, parse_pd)
 from knotmoves.gauss import to_gauss
 from knotmoves.moves import random_perturb
 
@@ -41,23 +41,17 @@ def reference_key(d: Diagram) -> str:
     return best
 
 
-def reference_parse_dt(text: str) -> Diagram:
-    """The product enumerator over all 2^(n-1) orientation patterns."""
-    stripped = text.strip()
-    if not stripped:
-        return Diagram.unknot()
+def _dt_records(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two crossing records (bit 0, bit 1) of each entry of a nonempty code."""
     try:
-        entries = [int(tok) for tok in stripped.replace(",", " ").split()]
+        entries = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise MalformedDiagram(f"bad DT token in {text!r}") from exc
     n = len(entries)
     if any(a == 0 or a % 2 for a in entries):
         raise MalformedDiagram("DT entries must be nonzero even integers")
-    evens = [abs(a) for a in entries]
-    if sorted(evens) != list(range(2, 2 * n + 1, 2)):
+    if sorted(map(abs, entries)) != list(range(2, 2 * n + 1, 2)):
         raise MalformedDiagram("DT even entries must be 2,4,...,2n in some order")
-    if n > 14:
-        raise DTCapExceeded("DT realizability search capped at 14 crossings")
 
     # Positions 1..2n around the circle; edge j runs from position j to j+1.
     # Crossing i has one record per orientation bit: bit 0 puts the outgoing
@@ -73,6 +67,16 @@ def reference_parse_dt(text: str) -> Diagram:
         u_in, u_out = edge_before(under), under
         o_in, o_out = edge_before(over), over
         ends.append(((u_in, o_out, u_out, o_in), (u_in, o_in, u_out, o_out)))
+    return ends
+
+
+def reference_parse_dt(text: str) -> Diagram:
+    """The product enumerator over all 2^(n-1) orientation patterns."""
+    if not text.strip():
+        return Diagram.unknot()
+    ends = _dt_records(text)
+    n = len(ends)
+    assert n <= 14, "the product enumerator is exponential"
 
     # Faces are the orbits of the left-turn map on the 4n slot positions: a
     # slot goes to the other end of its edge, then one slot ccw.
@@ -102,6 +106,97 @@ def reference_parse_dt(text: str) -> Diagram:
         records = [ends[0][0]] + [e[bit] for e, bit in zip(ends[1:], bits)]
         if n_faces([e for rec in records for e in rec]) == n + 2:
             return Diagram([Crossing(rec) for rec in records], basepoint=1)
+    raise NotRealizable(f"DT code {text!r} has no planar realization")
+
+
+def reference_search_parse_dt(text: str) -> Diagram:
+    """Depth-first search over the orientation bits in product order.
+
+    A prefix is dropped as soon as the crossings fixed so far span a
+    sub-diagram of positive genus, since deleting edges never raises genus.
+    The first leaf reached is the first planar pattern of the product
+    enumeration.  Exponential in the worst case, but uncapped.
+    """
+    if not text.strip():
+        return Diagram.unknot()
+    ends = _dt_records(text)
+    n = len(ends)
+
+    # Edge e joins the owners of positions e and e % 2n + 1 whatever the
+    # bits, so it is inside the sub-diagram on crossings 0..k-1 from depth
+    # born[e] on.  At depth k that sub-ribbon graph, isolated crossings left
+    # out, has V vertices, E edges and C components; it is planar exactly
+    # when it has need[k] = 2C - V + E faces, and fewer faces means genus.
+    # The out edges of a crossing (slots 1 and 2 at bit 0) are its positions.
+    owner = [0] * (2 * n + 1)
+    for i, rec in enumerate(ends):
+        owner[rec[0][1]] = owner[rec[0][2]] = i
+    born = [0] + [max(owner[e], owner[e % (2 * n) + 1]) + 1
+                  for e in range(1, 2 * n + 1)]
+    label = list(range(n))
+    used: set[int] = set()
+    need = [0] * (n + 1)
+    edges = 0
+    for k in range(1, n + 1):
+        for e in range(1, 2 * n + 1):
+            if born[e] == k:
+                a, b = owner[e], owner[e % (2 * n) + 1]
+                used.update((a, b))
+                label = [label[b] if x == label[a] else x for x in label]
+                edges += 1
+        comps = len({label[x] for x in used})
+        need[k] = 2 * comps - len(used) + edges
+
+    # Faces are the orbits of the left-turn map on the inside slots: a slot
+    # goes to the other end of its edge, then to the next inside slot ccw.
+    flat = [0] * (4 * n)
+
+    def n_faces(k: int) -> int:
+        m = 4 * k
+        first = [-1] * (2 * n + 1)
+        other = [-1] * m
+        for p in range(m):
+            e = flat[p]
+            if born[e] <= k:
+                q = first[e]
+                if q < 0:
+                    first[e] = p
+                else:
+                    other[p], other[q] = q, p
+        seen = bytearray(m)
+        faces = 0
+        for p in range(m):
+            if other[p] >= 0 and not seen[p]:
+                faces += 1
+                while not seen[p]:
+                    seen[p] = 1
+                    q = other[p]
+                    base = q - q % 4
+                    p = base + (q + 1) % 4
+                    while other[p] < 0:
+                        p = base + (p + 1) % 4
+        return faces
+
+    flat[0:4] = ends[0][0]
+    bits = [0] * n
+    k = 1
+    while k:
+        if n_faces(k) >= need[k]:
+            if k == n:
+                return Diagram([Crossing(tuple(flat[4 * i:4 * i + 4]))
+                                for i in range(n)], basepoint=1)
+            bits[k] = 0
+            flat[4 * k:4 * k + 4] = ends[k][0]
+            k += 1
+            continue
+        # Backtrack to the deepest crossing still on bit 0 and flip it.
+        k -= 1
+        while k and bits[k]:
+            k -= 1
+        if k:
+            bits[k] = 1
+            flat[4 * k:4 * k + 4] = ends[k][1]
+            k += 1
     raise NotRealizable(f"DT code {text!r} has no planar realization")
 
 
@@ -239,17 +334,29 @@ def test_dt_errors():
         parse_dt("4 4 2")  # repeated value
     with pytest.raises(MalformedDiagram):
         parse_dt("4 6 10")  # not a permutation of 2..2n
+    # int() reads both as integers, but neither is an ASCII DT entry.
+    with pytest.raises(MalformedDiagram, match="bad DT token"):
+        parse_dt("4 6 0_2")
+    with pytest.raises(MalformedDiagram, match="bad DT token"):
+        parse_dt("\uff14 6 2")  # full-width digit four
     with pytest.raises(NotRealizable):
         parse_dt("4 10 12 16 14 2 8 6")
 
 
 def test_dt_cap_is_not_a_realizability_verdict(knots):
-    # Emitted from a 15-crossing diagram, so the code is realizable.
-    code = emit_dt(knots["7_1"].connected_sum(knots["dt8a"]))
-    assert len(code.split()) == 15
-    with pytest.raises(DTCapExceeded, match="capped at 14 crossings") as info:
-        parse_dt(code)
-    assert not isinstance(info.value, NotRealizable)
+    # Emitted from diagrams of 15 and 193 crossings (the connected sum of
+    # the whole corpus), so both codes are realizable and parse.
+    chain = Diagram.unknot()
+    for _, d in sorted(knots.items()):
+        chain = chain.connected_sum(d)
+    sizes = []
+    for d in (knots["7_1"].connected_sum(knots["dt8a"]), chain):
+        code = emit_dt(d)
+        parsed = parse_dt(code)
+        assert emit_dt(parsed) == code
+        assert parsed.is_planar()
+        sizes.append(parsed.n_crossings)
+    assert sizes == [15, 193]
 
 
 def _dt_outcome(parse, code: str):
@@ -283,6 +390,24 @@ def test_parse_dt_matches_reference_on_random_codes(knots):
         seen[want != "not realizable"].add(len(entries))
     assert seen[True] == set(range(3, 13))
     assert seen[False] == set(range(5, 13))
+
+
+def test_parse_dt_matches_search_on_long_codes(knots):
+    # Emitted codes of R-perturbed corpus knots and mirrors (15-19
+    # crossings) and of perturbed connected sums of three (up to 24).
+    diagrams = [d for _, d in sorted(knots.items())]
+    diagrams += [d.mirror() for d in diagrams]
+    perturbed = [random_perturb(d, 10, seed=seed, max_extra=9)
+                 for d in diagrams for seed in range(4)]
+    for i, d in enumerate(diagrams):
+        triple = d.connected_sum(diagrams[(i + 5) % len(diagrams)])
+        triple = triple.connected_sum(diagrams[(i + 11) % len(diagrams)])
+        perturbed.append(random_perturb(triple, 4, seed=i, max_extra=3))
+    codes = [emit_dt(p) for p in perturbed if 15 <= p.n_crossings <= 24]
+    assert len(codes) == 192
+    assert max(len(code.split()) for code in codes) == 24
+    for code in codes:
+        assert _dt_outcome(parse_dt, code) == _dt_outcome(reference_search_parse_dt, code), code
 
 
 def test_parse_dt_golden_on_perturbed_codes(knots):
