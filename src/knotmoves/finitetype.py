@@ -48,14 +48,14 @@ def random_family(base: Diagram, orders: tuple[int, ...], rng: random.Random,
             if free:
                 chord = Chord(2, "switch", (free[rng.randrange(len(free))],))
         if chord is None and k == 3 and base.n_crossings and rng.random() < 0.25:
-            sites = []
+            deltas = []
             for s in triangle_slide_sites(base, "delta"):
-                cis = set(s[1:4])
-                edges = set().union(*(set(base.crossings[ci].ends) for ci in cis))
-                if not (cis & used_crossings) and not (edges & insert_edges):
-                    sites.append(s)
-            if sites:
-                chord = Chord(3, "delta", sites[rng.randrange(len(sites))][1:])
+                delta = Chord(3, "delta", s[1:])
+                edges, cis = delta.touched(base)
+                if not (cis & used_crossings or edges & insert_edges):
+                    deltas.append(delta)
+            if deltas:
+                chord = deltas[rng.randrange(len(deltas))]
         if chord is None:
             chord = random_insert_chord(base, k, rng, rewrite_edges,
                                         offset_base=4 * idx)

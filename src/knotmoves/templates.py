@@ -19,6 +19,9 @@ structure (a crossing switch, a triangle flip) or by cutting the host at k
 co-facial sites and gluing a finger blob into the face.  Sites are
 (edge, offset, side) triples listed in the cyclic order in which the face
 walk visits them; the side flag names the face via the dart (edge, side).
+Every insertion, single (``apply_chord``) or several at once (``band_sum``,
+and so each member of a ``family``), goes through one gluing routine,
+``_glue_many``, which also numbers the new edges.
 """
 
 from __future__ import annotations
@@ -133,6 +136,8 @@ def builtin_templates() -> dict[int, MoveTemplate]:
 
     out = {2: t2, 3: t3, 4: t4}
     for tpl in out.values():
+        if not all(blob.is_finger_form() for blob in tpl.insertions):
+            raise AssertionError(f"{tpl.name}: insertion blob is not in finger form")
         certs = tpl.brunnian_certificates()
         if not tpl.verify_certificates(certs):
             raise AssertionError(f"certificates for {tpl.name} failed to replay")
@@ -179,51 +184,32 @@ class Chord:
         return cls(obj["template_k"], obj["kind"], sites, obj.get("variant", 0))
 
 
-def _face_positions(d: Diagram) -> dict[tuple[int, int], tuple[int, int]]:
-    """dart -> (face index, position in the face walk)."""
-    return {dart: (wi, pos) for wi, walk in enumerate(d.face_walks())
-            for pos, dart in enumerate(walk)}
+def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Diagram:
+    """Cut the host at the sites of insertion chords and glue their blobs in.
 
-
-def _cut_points(chords_sites: Sequence[Sequence[Site]]) -> list[tuple[int, int]]:
-    pts = sorted({(edge, off) for sites in chords_sites for edge, off, _ in sites})
-    return pts
-
-
-def piece_id_map(d: Diagram, chords: Sequence["Chord"],
-                 id_base: int | None = None) -> dict[tuple[int, int], int]:
-    """Deterministic ids for the edge piece created after each cut point.
-
-    Computed from the full chord set so that every subset of the same
-    family labels shared structure identically.
-    """
-    if id_base is None:
-        id_base = (d.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
-    pts = _cut_points([c.sites for c in chords if c.kind == "insert"])
-    return {pt: id_base + 1 + i for i, pt in enumerate(pts)}
-
-
-def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]],
-               piece_ids: dict[tuple[int, int], int]) -> Diagram:
-    """Glue several finger-form tangles into faces of the host in one pass.
-
-    Each entry is (sites, tangle, id_base); ``piece_ids`` names the edge
-    piece after each cut point (see ``piece_id_map``).  Chords may share
-    host edges as long as their cut points differ and their site groups do
-    not interleave around any face.
+    New edge ids lie above the host's, in blocks of ``_ID_BLOCK``: the first
+    block names the piece after each cut point, in cut-point order, and
+    block j + 1 holds the blob of the j-th chord.  So host edges < cut pieces
+    < blobs, in chord order.  Chords may share host edges as long as their
+    cut points differ and their site groups do not interleave around any
+    face.
     """
     if not inserts:
         return d
-    for sites, tangle, _ in inserts:
-        if len(sites) != tangle.finger_count():
+    blobs = [builtin_templates()[c.k].insertion(c.variant) for c in inserts]
+    for c, blob in zip(inserts, blobs):
+        if len(c.sites) != blob.finger_count():
             raise InvalidSite("site count does not match tangle fingers")
-        if not tangle.is_finger_form():
-            raise InvalidSite("insertion tangle must be in finger form")
-    all_sites = [(ci, i, site) for ci, (sites, _, _) in enumerate(inserts)
-                 for i, site in enumerate(sites)]
-    if len({(s[0], s[1]) for _, _, s in all_sites}) != len(all_sites):
+    all_sites = [(ci, i, site) for ci, c in enumerate(inserts)
+                 for i, site in enumerate(c.sites)]
+    cut_points = sorted((s[0], s[1]) for _, _, s in all_sites)
+    if len(set(cut_points)) != len(cut_points):
         raise InvalidSite("duplicate cut points")
-    where = _face_positions(d)
+    base = (d.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
+    piece_ids = {pt: base + 1 + i for i, pt in enumerate(cut_points)}
+    # dart -> (face index, position in the face walk)
+    where = {dart: (wi, pos) for wi, walk in enumerate(d.face_walks())
+             for pos, dart in enumerate(walk)}
 
     def walk_key(entry):
         _, _, (edge, off, side) = entry
@@ -234,13 +220,13 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
         return (wi, pos, off if side == 0 else -off)
 
     keyed = sorted(all_sites, key=walk_key)
+    groups = [[entry for entry in keyed if entry[0] == ci] for ci in range(len(inserts))]
     # per-chord validation: co-facial and listed in cyclic walk order
-    for ci, (sites, _, _) in enumerate(inserts):
-        mine = [entry for entry in keyed if entry[0] == ci]
-        faces = {where[(s[0], s[2])][0] for _, _, s in mine}
+    for group in groups:
+        faces = {where[(s[0], s[2])][0] for _, _, s in group}
         if len(faces) != 1:
             raise InvalidSite("sites of one chord are not co-facial")
-        order = [entry[1] for entry in mine]
+        order = [entry[1] for entry in group]
         k = len(order)
         anchor = order.index(0)
         if [order[(anchor + r) % k] for r in range(k)] != list(range(k)):
@@ -251,16 +237,13 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
         wi = where[(entry[2][0], entry[2][2])][0]
         by_face.setdefault(wi, []).append(entry[0])
     for word in by_face.values():
-        for a in set(word):
-            for b in set(word):
-                if a >= b:
-                    continue
-                sub = [x for x in word if x in (a, b)]
-                runs = 1 + sum(1 for u, v in zip(sub, sub[1:]) if u != v)
-                if sub[0] == sub[-1] and runs > 1:
-                    runs -= 1
-                if runs > 2:
-                    raise InvalidSite("insertions interleave around a face")
+        for a, b in combinations(sorted(set(word)), 2):
+            sub = [x for x in word if x in (a, b)]
+            runs = 1 + sum(1 for u, v in zip(sub, sub[1:]) if u != v)
+            if sub[0] == sub[-1] and runs > 1:
+                runs -= 1
+            if runs > 2:
+                raise InvalidSite("insertions interleave around a face")
 
     dart = d._slots[1]
     new_ends: dict[int, int] = {}
@@ -290,15 +273,14 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
     crossings, _ = d._with_ends(new_ends)
     joiner = _IdJoiner()
     blob_crossings: list[Crossing] = []
-    for ci, (sites, tangle, id_base) in enumerate(inserts):
-        blob = tangle.shifted(id_base)
+    for ci, (blob, group) in enumerate(zip(blobs, groups)):
+        blob = blob.shifted(base + (ci + 1) * _ID_BLOCK)
         blob_crossings.extend(blob.crossings)
-        mine = [entry for entry in keyed if entry[0] == ci]
-        k = len(sites)
+        k = len(group)
         # Fingers attach to the walk-ordered sites in reversed order, each
         # with its legs swapped; fixed by the planarity calibration in the
         # test suite.
-        for r, (_, i, _site) in enumerate(mine):
+        for r, (_, i, _site) in enumerate(group):
             finger = k - 1 - r
             first, second = flanks[(ci, i)]
             joiner.join(first, blob.legs[2 * finger + 1])
@@ -313,18 +295,7 @@ def _glue_many(d: Diagram, inserts: Sequence[tuple[Sequence[Site], Tangle, int]]
     return out
 
 
-def glue_insertion(d: Diagram, sites: Sequence[Site], tangle: Tangle,
-                   id_base: int | None = None) -> Diagram:
-    """Cut the host at co-facial sites and glue a finger-form tangle in."""
-    if id_base is None:
-        id_base = (d.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
-    pieces = {(e, off): id_base + 1 + i
-              for i, (e, off) in enumerate(sorted({(e, o) for e, o, _ in sites}))}
-    return _glue_many(d, [(sites, tangle, id_base + len(pieces) + 1)], pieces)
-
-
-def apply_chord(d: Diagram, chord: Chord, id_base: int | None = None,
-                piece_ids: dict | None = None) -> Diagram:
+def apply_chord(d: Diagram, chord: Chord) -> Diagram:
     """Apply one chord; the diagram is changed only at the chord's sites."""
     if chord.kind == "switch":
         (ci,) = chord.sites
@@ -347,11 +318,7 @@ def apply_chord(d: Diagram, chord: Chord, id_base: int | None = None,
         out.validate()
         return out  # type: ignore[return-value]
     if chord.kind == "insert":
-        tpl = builtin_templates()[chord.k]
-        blob = tpl.insertion(chord.variant)
-        if id_base is not None and piece_ids is not None:
-            return _glue_many(d, [(chord.sites, blob, id_base)], piece_ids)
-        return glue_insertion(d, chord.sites, blob, id_base)
+        return _glue_many(d, [chord])
     raise ValueError(f"unknown chord kind {chord.kind!r}")
 
 
@@ -381,44 +348,19 @@ def check_disjoint(d: Diagram, chords: Sequence[Chord]) -> None:
                 raise InvalidSite(f"chords {i} and {j} share an edge")
 
 
-def band_sum(d: Diagram, chords: Iterable[Chord],
-             id_bases: dict[Chord, int] | None = None,
-             piece_ids: dict | None = None) -> Diagram:
+def band_sum(d: Diagram, chords: Iterable[Chord]) -> Diagram:
     """Apply pairwise disjoint chords; the order of application is immaterial.
 
     Rewrites apply first (they commute with everything here); all
-    insertions are glued in a single pass.  Fresh edge ids come from
-    per-chord blocks keyed by the canonical chord order and from a shared
-    cut-point map, so any subset of one chord set labels shared structure
-    identically.
+    insertions are glued in a single pass, in the canonical chord order.
     """
     chords = sorted(chords, key=_chord_sort_key)
     check_disjoint(d, chords)
-    if id_bases is None:
-        id_bases = default_id_bases(d, chords)
-    if piece_ids is None:
-        piece_ids = piece_id_map(d, chords)
     out = d
-    inserts = []
     for c in chords:
-        if c.kind == "insert":
-            blob = builtin_templates()[c.k].insertion(c.variant)
-            inserts.append((c.sites, blob, id_bases[c]))
-        else:
+        if c.kind != "insert":
             out = apply_chord(out, c)
-    if inserts:
-        out = _glue_many(out, inserts, piece_ids)
-    return out
-
-
-def default_id_bases(d: Diagram, chords: Iterable[Chord]) -> dict[Chord, int]:
-    # block 0 above the host ids is reserved for cut pieces
-    start = (d.max_edge_id() // _ID_BLOCK + 2) * _ID_BLOCK
-    bases = {}
-    for j, c in enumerate(sorted(chords, key=_chord_sort_key)):
-        if c.kind == "insert":
-            bases[c] = start + j * _ID_BLOCK
-    return bases
+    return _glue_many(out, [c for c in chords if c.kind == "insert"])
 
 
 # -- singular families -----------------------------------------------------------
@@ -454,20 +396,36 @@ class SingularFamily:
 
 
 def family(fam: SingularFamily) -> dict[frozenset, Diagram]:
-    """All 2^l diagrams K_P; shared chords produce identical local labels."""
+    """All 2^l diagrams K_P, one band sum per subset P of the chords."""
     fam.validate()
-    bases = default_id_bases(fam.base, fam.chords)
-    pieces = piece_id_map(fam.base, fam.chords)
     out: dict[frozenset, Diagram] = {}
     n = len(fam.chords)
     for mask in range(1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
-        chosen = [fam.chords[i] for i in sorted(subset)]
-        out[subset] = band_sum(fam.base, chosen, bases, pieces)
+        out[subset] = band_sum(fam.base, [fam.chords[i] for i in sorted(subset)])
     return out
 
 
 # -- site enumeration -------------------------------------------------------------
+
+def _face_slots(walk: Sequence[tuple[int, int]], skip: Iterable[int] = (),
+                offset_base: int = 0) -> list[Site]:
+    """Cut sites on one face walk, in walk order.
+
+    Each edge not in ``skip`` gets three sites at its first visit, at
+    offsets ``offset_base`` + 1, 2, 3 along the edge, listed in the
+    direction the walk runs.
+    """
+    slots: list[Site] = []
+    seen = set(skip)
+    for edge, side in walk:
+        if edge in seen:
+            continue
+        seen.add(edge)
+        offs = (1, 2, 3) if side == 0 else (3, 2, 1)
+        slots.extend((edge, offset_base + off, side) for off in offs)
+    return slots
+
 
 def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
     """Deterministic bounded enumeration of order-k chords on d.
@@ -486,30 +444,9 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
     for walk in d.face_walks():
         if budget_left <= 0:
             break
-        slots: list[Site] = []
-        per_edge: dict[int, int] = {}
-        for edge, side in walk:
-            used = per_edge.get(edge, 0)
-            if used >= 3:
-                continue
-            take = min(3 - used, 3)
-            for r in range(take):
-                off = used + r + 1
-                slots.append((edge, off if side == 0 else 4 - off, side))
-            per_edge[edge] = used + take
-        if len(slots) < k:
-            continue
-        for combo in combinations(range(len(slots)), k):
-            group = [slots[i] for i in combo]
-            edge_use: dict[int, int] = {}
-            ok = True
-            for e, _, _ in group:
-                edge_use[e] = edge_use.get(e, 0) + 1
-                if edge_use[e] > 3:
-                    ok = False
-            if not ok:
-                continue
-            chords.append(Chord(k, "insert", tuple(group)))
+        slots = _face_slots(walk)
+        for combo in combinations(slots, k):
+            chords.append(Chord(k, "insert", combo))
             budget_left -= 1
             if budget_left <= 0:
                 break
@@ -532,25 +469,11 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
         if not walks:
             return None
         walk = walks[rng.randrange(len(walks))]
-        slots = []
-        per_edge: dict[int, int] = {}
-        for edge, side in walk:
-            if edge in used_edges:
-                continue
-            used = per_edge.get(edge, 0)
-            for r in range(3 - used):
-                off = offset_base + used + r + 1
-                slots.append((edge, off if side == 0 else offset_base + 4 - (used + r + 1), side))
-            per_edge[edge] = 3
+        slots = _face_slots(walk, used_edges, offset_base)
         if len(slots) < k:
             continue
         picks = sorted(rng.sample(range(len(slots)), k))
         group = tuple(slots[i] for i in picks)
-        edge_use: dict[int, int] = {}
-        for e, _, _ in group:
-            edge_use[e] = edge_use.get(e, 0) + 1
-        if any(v > 3 for v in edge_use.values()):
-            continue
         v = rng.randrange(2) if variant is None else variant
         chord = Chord(k, "insert", group, v)
         try:

@@ -23,7 +23,7 @@ from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _r
                              _strand_slot, r1_add, r2_add, r2_add_sites, r2_removal_sites,
                              random_perturb, triangle_faces)
 from knotmoves.tangles import Builder, Tangle, clasp_word
-from knotmoves.templates import InvalidSite, builtin_templates, family, glue_insertion
+from knotmoves.templates import Chord, InvalidSite, apply_chord, builtin_templates, family
 
 # An occurrence of an edge end: ("x", crossing_index, slot) or ("b", leg_index, 0).
 Occ = tuple[str, int, int]
@@ -488,9 +488,8 @@ def test_is_planar_false_on_genus_one_knot_records():
 def test_glue_many_refuses_an_insertion_off_the_plane():
     host = Diagram(GENUS_ONE)
     (e, side), *_ = host.face_walks()[0]
-    tangle = builtin_templates()[2].insertion(0)
     with pytest.raises(InvalidSite, match="^insertion would leave the plane$"):
-        glue_insertion(host, [(e, 1, side), (e, 2, side)], tangle, 1000)
+        apply_chord(host, Chord(2, "insert", ((e, 1, side), (e, 2, side))))
 
 
 def test_move_finders_match_reference_on_perturbed_corpus(perturbed, unknot):
