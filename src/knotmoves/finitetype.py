@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from . import gauss
 from .diagram import Diagram, MalformedDiagram
 from .moves import InapplicableMove
-from .templates import (Chord, InvalidSite, SingularFamily, apply_chord, band_sum,
-                        family, random_insert_chord, triangle_slide_sites)
+from .templates import (Chord, InvalidSite, SingularFamily, apply_chord, family,
+                        random_insert_chord, triangle_slide_sites)
 
 INVARIANTS = {"v2": gauss.v2, "v3": gauss.v3}
 
@@ -70,10 +70,10 @@ def random_family(base: Diagram, orders: tuple[int, ...], rng: random.Random,
         chords.append(chord)
     fam = SingularFamily(base, tuple(chords))
     try:
-        fam.validate()
         # Insertions sharing a face can interleave and spoil co-faciality;
-        # building the full band sum catches every such collision.
-        band_sum(base, fam.chords)
+        # the glue plan of the full set, which family() reuses, catches
+        # every such collision.
+        fam._plan
     except (InvalidSite, InapplicableMove, MalformedDiagram):
         return None
     return fam

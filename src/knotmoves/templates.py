@@ -19,18 +19,21 @@ structure (a crossing switch, a triangle flip) or by cutting the host at k
 co-facial sites and gluing a finger blob into the face.  Sites are
 (edge, offset, side) triples listed in the cyclic order in which the face
 walk visits them; the side flag names the face via the dart (edge, side).
-Every insertion, single (``apply_chord``) or several at once (``band_sum``,
-and so each member of a ``family``), goes through one gluing routine,
-``_glue_many``, which also numbers the new edges.
+Every insertion, single (``apply_chord``) or several at once (``band_sum``),
+goes through one gluing routine, ``_glue_many``, which checks the sites,
+cuts the host and numbers the new edges once, and returns a builder that
+splices members from that plan.  A ``family`` keeps one such plan: its
+2^l members are spliced from the cut of the full chord set, with left-out
+insertions rejoined and left-out rewrites swapped back.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from itertools import combinations, groupby, islice
+from typing import Callable, Container, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, MalformedDiagram, _IdJoiner
 from .moves import (InapplicableMove, Script, _delta_steps, _Explorer, _r3_steps,
@@ -180,22 +183,41 @@ class Chord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Chord":
-        sites = tuple(tuple(s) if isinstance(s, list) else s for s in obj["sites"])
-        return cls(obj["template_k"], obj["kind"], sites, obj.get("variant", 0))
+        """The chord of ``to_json``; malformed fields raise InvalidSite."""
+        k, kind, sites = obj.get("template_k"), obj.get("kind"), obj.get("sites")
+        variant = obj.get("variant", 0)
+
+        def index(x) -> bool:  # a bool is an int, but not an index
+            return type(x) is int and x >= 0
+
+        # kind -> (order, site count, whether a site is an [edge, offset, side] list)
+        shape = {"switch": (2, 1, False), "delta": (3, 6, False), "insert": (k, k, True)}.get(kind)
+        if shape is None or not index(k) or k not in builtin_templates() or k != shape[0] \
+                or type(variant) is not int or not isinstance(sites, list) \
+                or len(sites) != shape[1] or not all(
+                    isinstance(s, list) and len(s) == 3 and all(map(index, s)) and s[2] < 2
+                    if shape[2] else index(s) for s in sites):
+            raise InvalidSite(f"malformed chord {obj!r}")
+        return cls(k, kind, tuple(tuple(s) if shape[2] else s for s in sites), variant)
 
 
-def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Diagram:
-    """Cut the host at the sites of insertion chords and glue their blobs in.
+def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
+    """Check the sites, cut the host at every cut point and shift every blob,
+    once; return ``member(present, swaps)``, which splices one diagram.
+
+    In it a chord whose index is in ``present`` joins its blob legs to the
+    flanks of its sites, any other joins each finger's two flanks back
+    together, and ``swaps`` replaces crossing records off the cut edges.
+    Every member is validated and tested for planarity.
 
     New edge ids lie above the host's, in blocks of ``_ID_BLOCK``: the first
     block names the piece after each cut point, in cut-point order, and
     block j + 1 holds the blob of the j-th chord.  So host edges < cut pieces
-    < blobs, in chord order.  Chords may share host edges as long as their
-    cut points differ and their site groups do not interleave around any
-    face.
+    < blobs, in chord order; a rejoined piece keeps the id of the piece it
+    starts from, so a member's ids rank as if only its chords were glued.
+    Chords may share host edges as long as their cut points differ and their
+    site groups do not interleave around any face.
     """
-    if not inserts:
-        return d
     blobs = [builtin_templates()[c.k].insertion(c.variant) for c in inserts]
     for c, blob in zip(inserts, blobs):
         if len(c.sites) != blob.finger_count():
@@ -247,52 +269,53 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Diagram:
 
     dart = d._slots[1]
     new_ends: dict[int, int] = {}
+    # site -> (piece before it, piece after it), in the order of the host edge
     flanks: dict[tuple[int, int], tuple[int, int]] = {}
-    by_edge: dict[int, list[tuple[int, int, Site]]] = {}
-    for ci, i, site in all_sites:
-        by_edge.setdefault(site[0], []).append((ci, i, site))
+    for edge, run in groupby(sorted(all_sites, key=lambda e: e[2][:2]), lambda e: e[2][0]):
+        entries = list(run)
+        chain = [piece_ids[(edge, site[1])] for _, _, site in entries]
+        if d.crossings:
+            # The edge keeps the end that dart (edge, 0) leaves from; the last
+            # piece takes the end that it arrives at.
+            new_ends[dart.index((edge, 1))] = chain[-1]
+        chain.insert(0, edge if d.crossings else chain[-1])
+        for j, (ci, i, _site) in enumerate(entries):
+            flanks[(ci, i)] = (chain[j], chain[j + 1])
 
-    circle_host = not d.crossings
-    for edge, entries in by_edge.items():
-        entries = sorted(entries, key=lambda e: e[2][1])
-        offs = [e[2][1] for e in entries]
-        if circle_host:
-            pieces = [piece_ids[(edge, off)] for off in offs]
-            for j, (ci, i, site) in enumerate(entries):
-                before, after = pieces[j - 1], pieces[j]
-                flanks[(ci, i)] = (before, after) if site[2] == 0 else (after, before)
-            continue
-        # The edge keeps the end that dart (edge, 0) leaves from; the last
-        # piece takes the end that it arrives at.
-        chain = [edge] + [piece_ids[(edge, off)] for off in offs]
-        new_ends[dart.index((edge, 1))] = chain[-1]
-        for j, (ci, i, site) in enumerate(entries):
-            before, after = chain[j], chain[j + 1]
-            flanks[(ci, i)] = (before, after) if site[2] == 0 else (after, before)
+    cut, _ = d._with_ends(new_ends)
+    # Host edges keep their ids under new ones: the basepoint is the host's lowest.
+    lowest = d.edges()[0] if d.crossings else None
+    blobs = [blob.shifted(base + (ci + 1) * _ID_BLOCK) for ci, blob in enumerate(blobs)]
 
-    crossings, _ = d._with_ends(new_ends)
-    joiner = _IdJoiner()
-    blob_crossings: list[Crossing] = []
-    for ci, (blob, group) in enumerate(zip(blobs, groups)):
-        blob = blob.shifted(base + (ci + 1) * _ID_BLOCK)
-        blob_crossings.extend(blob.crossings)
-        k = len(group)
-        # Fingers attach to the walk-ordered sites in reversed order, each
-        # with its legs swapped; fixed by the planarity calibration in the
-        # test suite.
-        for r, (_, i, _site) in enumerate(group):
-            finger = k - 1 - r
-            first, second = flanks[(ci, i)]
-            joiner.join(first, blob.legs[2 * finger + 1])
-            joiner.join(second, blob.legs[2 * finger])
+    def member(present: Container[int], swaps: dict[int, Crossing]) -> Diagram:
+        if not present and not swaps:
+            return d
+        crossings = list(cut)
+        for ci, record in swaps.items():
+            crossings[ci] = record
+        joiner = _IdJoiner()
+        for ci, (blob, group) in enumerate(zip(blobs, groups)):
+            if ci not in present:
+                for _, i, _site in group:
+                    joiner.join(*flanks[(ci, i)])
+                continue
+            crossings.extend(blob.crossings)
+            # Fingers attach to the walk-ordered sites in reversed order, each
+            # with its legs swapped; fixed by the planarity calibration in the
+            # test suite.
+            for finger, (_, i, site) in enumerate(reversed(group)):
+                first, second = flanks[(ci, i)] if site[2] == 0 else flanks[(ci, i)][::-1]
+                joiner.join(first, blob.legs[2 * finger + 1])
+                joiner.join(second, blob.legs[2 * finger])
+        crossings = joiner.apply(crossings)
+        out = Diagram(crossings, joiner.loops if not crossings else 0,
+                      basepoint=lowest, check=False)
+        out.validate()
+        if not out.is_planar():
+            raise InvalidSite("insertion would leave the plane")
+        return out
 
-    all_crossings = joiner.apply(crossings + blob_crossings)
-    out = Diagram(all_crossings, joiner.loops if not all_crossings else 0,
-                  basepoint=None, check=False)
-    out.validate()
-    if not out.is_planar():
-        raise InvalidSite("insertion would leave the plane")
-    return out
+    return member
 
 
 def apply_chord(d: Diagram, chord: Chord) -> Diagram:
@@ -318,13 +341,8 @@ def apply_chord(d: Diagram, chord: Chord) -> Diagram:
         out.validate()
         return out  # type: ignore[return-value]
     if chord.kind == "insert":
-        return _glue_many(d, [chord])
+        return _glue_many(d, [chord])({0}, {})
     raise ValueError(f"unknown chord kind {chord.kind!r}")
-
-
-def _chord_sort_key(chord: Chord):
-    return (0 if chord.kind == "switch" else 1 if chord.kind == "delta" else 2,
-            chord.sites)
 
 
 def check_disjoint(d: Diagram, chords: Sequence[Chord]) -> None:
@@ -351,16 +369,10 @@ def check_disjoint(d: Diagram, chords: Sequence[Chord]) -> None:
 def band_sum(d: Diagram, chords: Iterable[Chord]) -> Diagram:
     """Apply pairwise disjoint chords; the order of application is immaterial.
 
-    Rewrites apply first (they commute with everything here); all
-    insertions are glued in a single pass, in the canonical chord order.
+    This is K_full of the chords' family: rewrites apply first (they commute
+    with everything here), then all insertions are glued in a single pass.
     """
-    chords = sorted(chords, key=_chord_sort_key)
-    check_disjoint(d, chords)
-    out = d
-    for c in chords:
-        if c.kind != "insert":
-            out = apply_chord(out, c)
-    return _glue_many(out, [c for c in chords if c.kind == "insert"])
+    return SingularFamily(d, tuple(chords))._plan[0]
 
 
 # -- singular families -----------------------------------------------------------
@@ -379,6 +391,33 @@ class SingularFamily:
     def validate(self) -> None:
         check_disjoint(self.base, self.chords)
 
+    @cached_property
+    def _plan(self) -> tuple[Diagram, Callable[[frozenset], Diagram]]:
+        """(K_full, member): the full band sum, glued and checked once, and
+        the builder that splices K_P for any subset P from the same plan.
+
+        Rewrites keep every edge id and change only their own crossings'
+        records, which insertion edges avoid (``check_disjoint``), so the host
+        takes every rewrite before it is cut and a member swaps back the base
+        records of the rewrites it leaves out.
+        """
+        self.validate()
+        host, undo = self.base, {}
+        for i, c in enumerate(self.chords):
+            if c.kind != "insert":
+                host = apply_chord(host, c)
+                undo[i] = {ci: self.base.crossings[ci] for ci in c.touched(self.base)[1]}
+        # the canonical chord order, which numbers the blobs
+        inserts = sorted((i for i, c in enumerate(self.chords) if c.kind == "insert"),
+                         key=lambda i: self.chords[i].sites)
+        build = _glue_many(host, [self.chords[i] for i in inserts])
+
+        def member(subset: frozenset) -> Diagram:
+            swaps = {ci: record for i in undo.keys() - subset for ci, record in undo[i].items()}
+            return build({j for j, i in enumerate(inserts) if i in subset}, swaps)
+
+        return member(frozenset(range(len(self.chords)))), member
+
     def to_json(self) -> dict:
         # raw records: chord sites refer to these edge ids, so the base must
         # not be renumbered on the way through
@@ -396,13 +435,13 @@ class SingularFamily:
 
 
 def family(fam: SingularFamily) -> dict[frozenset, Diagram]:
-    """All 2^l diagrams K_P, one band sum per subset P of the chords."""
-    fam.validate()
+    """All 2^l diagrams K_P, each spliced from the family's one glue plan."""
+    full, member = fam._plan
     out: dict[frozenset, Diagram] = {}
     n = len(fam.chords)
     for mask in range(1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
-        out[subset] = band_sum(fam.base, [fam.chords[i] for i in sorted(subset)])
+        out[subset] = full if len(subset) == n else member(subset)
     return out
 
 

@@ -1,9 +1,13 @@
+import json
 import random
+
+import pytest
 
 from knotmoves.finitetype import (alternating_sum, delta_v2_witness, group_checks,
                                   random_family, move_invariance_report, verify_type)
 from knotmoves.gauss import v2, v3
-from knotmoves.templates import Chord, SingularFamily, builtin_templates, family
+from knotmoves.templates import (Chord, InvalidSite, SingularFamily, band_sum,
+                                 builtin_templates, family)
 
 
 def test_family_expansion_shape(left_trefoil):
@@ -106,8 +110,6 @@ def test_reports_deterministic(small_knots):
 
 
 def test_family_json_round_trip(left_trefoil):
-    import json
-
     rng = random.Random(14)
     fam = None
     while fam is None:
@@ -116,6 +118,34 @@ def test_family_json_round_trip(left_trefoil):
     again = SingularFamily.from_json(json.loads(blob))
     assert again.orders == fam.orders
     assert alternating_sum(again, "v2") == alternating_sum(fam, "v2") == 0
+    # fields that used to raise KeyError or TypeError, or pass as variant 1
+    for edit in ({"template_k": 5}, {"variant": "1"}, {"variant": True}):
+        obj = json.loads(blob)
+        obj["chords"][0].update(edit)
+        with pytest.raises(InvalidSite, match="malformed chord"):
+            SingularFamily.from_json(obj)
+
+
+@pytest.mark.parametrize("edit", [
+    {"template_k": 5}, {"variant": "1"}, {"variant": True}, {"template_k": True},
+    {"kind": "flip"}, {"kind": "switch"}, {"sites": [[1, 2]]}, {"sites": [[1, 2, 2]]},
+    {"sites": [[1, 2, 0], [1, True, 0]]}, {"sites": [[1, 2, 0], [-1, 3, 0]]},
+    {"sites": "0"}])
+def test_chord_json_rejects_malformed_fields(edit):
+    good = {"template_k": 2, "kind": "insert", "variant": 1, "sites": [[1, 2, 0], [1, 3, 0]]}
+    assert Chord.from_json(good) == Chord(2, "insert", ((1, 2, 0), (1, 3, 0)), 1)
+    with pytest.raises(InvalidSite, match="malformed chord"):
+        Chord.from_json({**good, **edit})
+
+
+def test_rewrite_chord_json_round_trip():
+    for chord in (Chord(2, "switch", (1,)), Chord(3, "delta", (0, 1, 2, 3, 4, 5))):
+        assert Chord.from_json(json.loads(json.dumps(chord.to_json()))) == chord
+    for bad in ({"template_k": 2, "kind": "switch", "sites": [-1]},
+                {"template_k": 3, "kind": "switch", "sites": [1]},
+                {"template_k": 3, "kind": "delta", "sites": [0, 1, 2]}):
+        with pytest.raises(InvalidSite, match="malformed chord"):
+            Chord.from_json(bad)
 
 
 def test_families_on_larger_bases():
@@ -173,3 +203,109 @@ def test_glue_labelling_up_to_rank_is_golden(small_knots):
                                      _ranked(current)]))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "14acf87ed5eda215d4c0a9bd5393bc372e6ae4dc9ae1fa854e03f1bc8fe42042"
+
+
+def _finger_order(d, chord):
+    """The chord's site indices in the face-walk order its fingers attach by."""
+    where = {dart: pos for walk in d.face_walks() for pos, dart in enumerate(walk)}
+    return sorted(range(len(chord.sites)),
+                  key=lambda i: (where[chord.sites[i][0], chord.sites[i][2]],
+                                 chord.sites[i][1] * (1 - 2 * chord.sites[i][2])))
+
+
+def test_plan_members_match_per_subset_band_sum(small_knots):
+    """Every member spliced from a family's one glue plan is the band sum of
+    its own chords, in canonical key and in records up to edge-id rank.
+
+    The plan cuts a host that carries every rewrite, while the band sum of a
+    subset cuts a host that carries only the subset's rewrites, so rewrites
+    must never rotate the walk order that an insertion's fingers attach by.
+    """
+    from itertools import combinations
+
+    from knotmoves.templates import apply_chord
+
+    names = sorted(small_knots)
+    seen = {"members": 0, "unknot": 0, "mixed": 0, "shared_edge": 0, "rank_checks": 0}
+    for orders in ((2, 2, 2), (2, 2, 2, 2), (3, 2), (4, 4, 3), (3, 3, 2), (2, 2)):
+        for seed in range(40):
+            rng = random.Random(seed)
+            name = names[rng.randrange(len(names))]
+            fam = random_family(small_knots[name], orders, rng)
+            if fam is None:
+                continue
+            for subset, d in family(fam).items():
+                want = band_sum(fam.base, [fam.chords[i] for i in sorted(subset)])
+                assert d.canonical_key == want.canonical_key, (name, orders, seed, subset)
+                assert _ranked(d) == _ranked(want), (name, orders, seed, subset)
+                seen["members"] += 1
+            inserts = [c for c in fam.chords if c.kind == "insert"]
+            rewrites = [c for c in fam.chords if c.kind != "insert"]
+            seen["unknot"] += name == "unknot"
+            seen["mixed"] += {c.kind for c in fam.chords} == {"switch", "delta", "insert"}
+            seen["shared_edge"] += any({s[0] for s in a.sites} & {s[0] for s in b.sites}
+                                       for a, b in combinations(inserts, 2))
+            for r in range(1, len(rewrites) + 1):
+                for chosen in combinations(rewrites, r):
+                    host = fam.base
+                    for c in chosen:
+                        host = apply_chord(host, c)
+                    for c in inserts:
+                        assert _finger_order(host, c) == _finger_order(fam.base, c)
+                        seen["rank_checks"] += 1
+    assert seen["members"] > 1500
+    assert min(seen.values()) > 0, seen
+
+
+def test_each_draw_glues_its_full_set_once(monkeypatch):
+    """verify_type builds one glue plan per drawn family, rejected draws
+    included; each plan glues the full chord set once, and family() splices
+    the other members from it without calling band_sum."""
+    from collections import Counter
+    from functools import cached_property
+
+    from knotmoves import finitetype, templates
+    from knotmoves.corpus import corpus
+
+    counts: Counter = Counter()
+    glue, plan = templates._glue_many, templates.SingularFamily._plan.func
+
+    def counting_glue(d, inserts):
+        if not counts["planning"]:
+            return glue(d, inserts)
+        counts["plan_glues"] += 1
+        build = glue(d, inserts)
+
+        def counting_build(present, swaps):
+            counts["full" if len(present) == len(inserts) and not swaps else "part"] += 1
+            return build(present, swaps)
+        return counting_build
+
+    def counting_plan(self):
+        counts["plans"] += 1
+        counts["planning"] += 1
+        try:
+            return plan(self)
+        finally:
+            counts["planning"] -= 1
+
+    def counting_family(*args):
+        counts["drawn"] += 1
+        return SingularFamily(*args)
+
+    def no_band_sum(*args):
+        counts["band_sum"] += 1
+
+    prop = cached_property(counting_plan)
+    prop.__set_name__(SingularFamily, "_plan")
+    monkeypatch.setattr(SingularFamily, "_plan", prop)
+    monkeypatch.setattr(templates, "_glue_many", counting_glue)
+    monkeypatch.setattr(templates, "band_sum", no_band_sum)
+    monkeypatch.setattr(finitetype, "SingularFamily", counting_family)
+    recs = verify_type("v2", (2, 2, 2), 50, seed=11,
+                       bases=corpus(max_crossings=7, include_unknot=True))
+    assert len(recs) == 50 and all(r.sum == 0 for r in recs)
+    assert counts["band_sum"] == 0
+    assert counts["plan_glues"] == counts["plans"] == counts["drawn"] >= 50
+    assert 50 <= counts["full"] <= counts["plan_glues"]
+    assert counts["part"] == 50 * 7
