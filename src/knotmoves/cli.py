@@ -292,6 +292,8 @@ def cmd_family(args, out) -> int:
     try:
         base = _parse_code(args.base)
         orders = tuple(int(x) for x in args.orders.split(",")) if args.orders else ()
+        if not set(orders) <= {2, 3, 4}:
+            raise ValueError(f"orders must be 2, 3 or 4, got {args.orders}")
     except (MalformedDiagram, NotRealizable, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2

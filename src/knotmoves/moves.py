@@ -43,19 +43,14 @@ def _finish(frag: Fragment, crossings: list[Crossing], joiner: _IdJoiner):
 
 # -- R1 ---------------------------------------------------------------------
 
-def r1_removal_sites(frag: Fragment) -> list[tuple]:
-    sites = []
-    for ci, c in enumerate(frag.crossings):
-        for s in range(4):
-            if c.ends[s] == c.ends[(s + 1) % 4]:
-                sites.append(("r1-", ci))
-                break
-    return sites
-
-
 def _kink_slot(c: Crossing) -> int | None:
     """First slot s whose end is also the end at slot s + 1 (an R1 kink)."""
-    return next((s for s in range(4) if c.ends[s] == c.ends[(s + 1) % 4]), None)
+    a, b, x, y = c.ends
+    return 0 if a == b else 1 if b == x else 2 if x == y else 3 if y == a else None
+
+
+def r1_removal_sites(frag: Fragment) -> list[tuple]:
+    return [("r1-", ci) for ci, c in enumerate(frag.crossings) if _kink_slot(c) is not None]
 
 
 def r1_remove(frag: Fragment, ci: int) -> Fragment:

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, groupby, islice
 from typing import Callable, Container, Iterable, Sequence
 
-from .diagram import Crossing, Diagram, Fragment, MalformedDiagram, _IdJoiner
+from .diagram import Crossing, Diagram, Fragment, _IdJoiner
 from .moves import (InapplicableMove, Script, _delta_steps, _Explorer, _r3_steps,
                     _switch_steps, apply_move, greedy_reduce, replay, triangle_slide,
                     triangle_slide_sites)
@@ -165,16 +165,13 @@ class Chord:
         """(edge ids, crossing indices) used anywhere by this chord."""
         if self.kind == "insert":
             return {s[0] for s in self.sites}, set()
-        if self.kind == "switch":
-            ci = self.sites[0]
-            return set(d.crossings[ci].ends), {ci}
-        if self.kind == "delta":
-            c1, c2, c3 = self.sites[:3]
-            edges = set()
-            for ci in (c1, c2, c3):
-                edges.update(d.crossings[ci].ends)
-            return edges, {c1, c2, c3}
-        raise ValueError(f"unknown chord kind {self.kind!r}")
+        if self.kind not in ("switch", "delta"):
+            raise ValueError(f"unknown chord kind {self.kind!r}")
+        cis = self.sites[:1 if self.kind == "switch" else 3]
+        for ci in cis:
+            if not 0 <= ci < d.n_crossings:
+                raise InvalidSite(f"no crossing {ci}")
+        return {e for ci in cis for e in d.crossings[ci].ends}, set(cis)
 
     def to_json(self) -> dict:
         return {"template_k": self.k, "kind": self.kind,
@@ -498,28 +495,32 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
                         offset_base: int = 0) -> Chord | None:
     """Seeded single-chord sampler; returns None if no room is found.
 
+    A draw is k sites of one face walk, taken from ``_face_slots`` in walk
+    order, each edge cut only at its first visit; so every check of
+    ``_glue_many`` holds by construction (co-facial, cyclic order, distinct
+    cut points, one group that cannot interleave), and a finger blob glued
+    into one face keeps the diagram planar and in one piece.  The draw is
+    therefore returned unglued: the caller's glue validates the diagram it
+    keeps.
+
     `offset_base` shifts the subdivision offsets so several chords can cut
     the same edge at distinct points.
     """
+    if k not in (2, 3, 4):
+        raise ValueError("builtin templates exist for k in {2, 3, 4}")
     used_edges = used_edges or set()
     walks = [w for w in d.face_walks()
-             if sum(1 for e, _ in w if e not in used_edges) >= 1]
+             if any(e not in used_edges for e, _ in w)]
+    if not walks:
+        return None
     for _ in range(40):
-        if not walks:
-            return None
         walk = walks[rng.randrange(len(walks))]
         slots = _face_slots(walk, used_edges, offset_base)
         if len(slots) < k:
             continue
         picks = sorted(rng.sample(range(len(slots)), k))
-        group = tuple(slots[i] for i in picks)
         v = rng.randrange(2) if variant is None else variant
-        chord = Chord(k, "insert", group, v)
-        try:
-            apply_chord(d, chord)
-        except (InvalidSite, MalformedDiagram):
-            continue
-        return chord
+        return Chord(k, "insert", tuple(slots[i] for i in picks), v)
     return None
 
 

@@ -96,6 +96,13 @@ def test_family_single_chord_difference():
                 if r["record"] == "family-member"]) == 2
 
 
+@pytest.mark.parametrize("orders", ["5", "1", "0", "-2", "2,5"])
+def test_family_orders_without_a_template_exit_2(orders):
+    code, records, err = run("family", "--base", "4 6 2", f"--orders={orders}")
+    assert code == 2 and records == []
+    assert err.startswith("bad input: orders must be 2, 3 or 4") and "Traceback" not in err
+
+
 def test_family_l0():
     code, records, _ = run("family", "--base", "4 6 2", "--orders", "")
     assert code == 0

@@ -82,6 +82,26 @@ def test_move_invariance_report_order4(small_knots):
     assert rep["v2_deltas_seen"] in ([], [0])
 
 
+def test_move_invariance_report_glues_once_per_move(monkeypatch, small_knots):
+    """Each move glues its drawn chord once: the sampler glues nothing."""
+    from knotmoves import templates
+
+    glue = templates._glue_many
+    glues = []
+
+    def counting_glue(d, inserts):
+        glues.append(len(inserts))
+        return glue(d, inserts)
+
+    monkeypatch.setattr(templates, "_glue_many", counting_glue)
+    for name, seed in (("5_2", 21), ("3_1", 4), ("4_1", 9)):
+        for l in (2, 3):
+            glues.clear()
+            rep = move_invariance_report(small_knots[name], l=l, n_moves=6, seed=seed)
+            moves = sum("delta" in step for step in rep["steps"])
+            assert moves == 6 and glues == [1] * moves, (name, l)
+
+
 def test_order3_witness(small_knots):
     w = delta_v2_witness(small_knots, seed=7)
     assert w is not None and abs(w["delta_v2"]) == 1
@@ -124,6 +144,14 @@ def test_family_json_round_trip(left_trefoil):
         obj["chords"][0].update(edit)
         with pytest.raises(InvalidSite, match="malformed chord"):
             SingularFamily.from_json(obj)
+    # well-formed rewrite chords naming a crossing the base lacks (it has 3)
+    for chord in ({"template_k": 2, "kind": "switch", "sites": [7]},
+                  {"template_k": 3, "kind": "delta", "sites": [0, 1, 9, 1, 2, 3]}):
+        obj = json.loads(blob)
+        obj["chords"][0] = chord
+        bad = SingularFamily.from_json(obj)
+        with pytest.raises(InvalidSite, match="no crossing [79]"):
+            alternating_sum(bad, "v2")
 
 
 @pytest.mark.parametrize("edit", [
@@ -260,7 +288,8 @@ def test_plan_members_match_per_subset_band_sum(small_knots):
 def test_each_draw_glues_its_full_set_once(monkeypatch):
     """verify_type builds one glue plan per drawn family, rejected draws
     included; each plan glues the full chord set once, and family() splices
-    the other members from it without calling band_sum."""
+    the other members from it without calling band_sum.  Nothing else glues:
+    the chord sampler returns its draws unglued."""
     from collections import Counter
     from functools import cached_property
 
@@ -271,6 +300,7 @@ def test_each_draw_glues_its_full_set_once(monkeypatch):
     glue, plan = templates._glue_many, templates.SingularFamily._plan.func
 
     def counting_glue(d, inserts):
+        counts["glues"] += 1
         if not counts["planning"]:
             return glue(d, inserts)
         counts["plan_glues"] += 1
@@ -306,6 +336,6 @@ def test_each_draw_glues_its_full_set_once(monkeypatch):
                        bases=corpus(max_crossings=7, include_unknot=True))
     assert len(recs) == 50 and all(r.sum == 0 for r in recs)
     assert counts["band_sum"] == 0
-    assert counts["plan_glues"] == counts["plans"] == counts["drawn"] >= 50
+    assert counts["glues"] == counts["plan_glues"] == counts["plans"] == counts["drawn"] >= 50
     assert 50 <= counts["full"] <= counts["plan_glues"]
     assert counts["part"] == 50 * 7

@@ -7,7 +7,7 @@ from knotmoves.gauss import v2
 from knotmoves.invariants import v2_conway
 from knotmoves.moves import simplify
 from knotmoves.tangles import Builder, Tangle, clasp_word, simplify_tangle, tangle_key
-from knotmoves.templates import (Chord, InvalidSite, apply_chord, band_sum,
+from knotmoves.templates import (Chord, InvalidSite, _face_slots, apply_chord, band_sum,
                                  builtin_templates, enumerate_sites, random_insert_chord,
                                  realize_by_lower, replay_tangle_script)
 
@@ -150,6 +150,79 @@ def test_insert_preserves_planarity_and_v2_consistency(knots):
         assert d.is_planar()
         if k == 2:
             assert v2(d) == v2_conway(d)
+
+
+def _trial_glue_sampler(d, k, rng, used_edges=None, variant=None, offset_base=0):
+    """The sampler as it was when it glued each draw on trial (the reference)."""
+    used_edges = used_edges or set()
+    walks = [w for w in d.face_walks()
+             if sum(1 for e, _ in w if e not in used_edges) >= 1]
+    for _ in range(40):
+        if not walks:
+            return None
+        walk = walks[rng.randrange(len(walks))]
+        slots = _face_slots(walk, used_edges, offset_base)
+        if len(slots) < k:
+            continue
+        picks = sorted(rng.sample(range(len(slots)), k))
+        group = tuple(slots[i] for i in picks)
+        v = rng.randrange(2) if variant is None else variant
+        chord = Chord(k, "insert", group, v)
+        try:
+            apply_chord(d, chord)
+        except (InvalidSite, MalformedDiagram):
+            continue
+        return chord
+    return None
+
+
+def test_sampler_draws_match_the_trial_glue_reference(knots):
+    """Dropping the trial glue changes no draw and no rng state, and every
+    draw glues: corpus knots, three R-perturbed copies of each, chained
+    insertion hosts and the unknot, with random used edges and offsets."""
+    from knotmoves.moves import random_perturb
+
+    hosts = []
+    for i, name in enumerate(sorted(knots)):
+        d = knots[name]
+        hosts.append(d)
+        hosts.extend(random_perturb(d, 8, seed=100 * i + j) for j in range(3))
+        chain_rng = random.Random(i)
+        for _ in range(2):
+            chord = random_insert_chord(d, chain_rng.choice((2, 3)), chain_rng)
+            d = apply_chord(d, chord)
+            hosts.append(d)
+    pick = random.Random(17)
+    seen = {"chords": 0, "none": 0, "used_edges": 0}
+    for h, host in enumerate(hosts):
+        edges = sorted({e for c in host.crossings for e in c.ends}) or [0]
+        for k in (2, 3, 4):
+            for _ in range(4):
+                used = set(pick.sample(edges, pick.randrange(len(edges) + 1)))
+                offset_base = pick.randrange(13)
+                variant = pick.choice((None, 0, 1))
+                want_rng, got_rng = random.Random(h * 31 + k), random.Random(h * 31 + k)
+                want = _trial_glue_sampler(host, k, want_rng, used, variant, offset_base)
+                got = random_insert_chord(host, k, got_rng, used, variant, offset_base)
+                assert got == want and got_rng.getstate() == want_rng.getstate()
+                seen["used_edges"] += bool(used)
+                if got is None:
+                    seen["none"] += 1
+                    continue
+                seen["chords"] += 1
+                glued = apply_chord(host, got)
+                assert glued.n_crossings == host.n_crossings + \
+                    builtin_templates()[k].insertion(got.variant).n_crossings
+    assert seen["chords"] + seen["none"] == len(hosts) * 12 > 1800
+    assert min(seen.values()) > 100, seen
+
+
+def test_site_samplers_reject_orders_without_a_template(left_trefoil):
+    for k in (0, 1, 5, -2):
+        with pytest.raises(ValueError, match="builtin templates"):
+            random_insert_chord(left_trefoil, k, random.Random(1))
+        with pytest.raises(ValueError, match="builtin templates"):
+            enumerate_sites(left_trefoil, k)
 
 
 def test_template_inverse_returns(left_trefoil):
