@@ -21,7 +21,7 @@ from .finitetype import (delta_v2_witness, group_checks, move_invariance_report,
                          verify_type)
 from .invariants import vassiliev_report
 from .moves import replay
-from .search import bfs_path, delta_unknot, replay_path
+from .search import MOVE_KINDS, bfs_path, delta_unknot, replay_path
 from .templates import builtin_templates, realize_by_lower, replay_tangle_script
 
 
@@ -335,17 +335,22 @@ def cmd_search(args, out) -> int:
     except (MalformedDiagram, NotRealizable, ValueError) as exc:
         print(f"bad diagram: {exc}", file=sys.stderr)
         return 2
+    try:
+        if args.budget < 0:
+            raise ValueError(f"budget must be non-negative, got {args.budget}")
+        if not args.delta_unknot:
+            d2 = _parse_code(args.to if args.to is not None else "")
+            kinds = set(args.movekinds.split(",")) if args.movekinds else {"B2"}
+            if not kinds <= MOVE_KINDS:
+                raise ValueError(f"unsupported move kinds: {sorted(kinds - MOVE_KINDS)}")
+    except (MalformedDiagram, NotRealizable, ValueError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     _header(out, seed=None)
     if args.delta_unknot:
         res = delta_unknot(d1, args.budget)
         _emit(out, {"record": "search", "case": "delta-unknot", **res.to_json()})
         return 0 if res.found else 1
-    try:
-        d2 = _parse_code(args.to if args.to is not None else "")
-        kinds = set(args.movekinds.split(",")) if args.movekinds else {"B2"}
-    except (MalformedDiagram, NotRealizable, ValueError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
     res = bfs_path(d1, d2, kinds, args.budget)
     _emit(out, {"record": "search", "case": "bfs", **res.to_json()})
     return 0 if res.found else 1

@@ -298,11 +298,15 @@ class Diagram(Fragment):
     def __init__(self, crossings: Iterable[Crossing] = (), free_loops: int = 0,
                  basepoint: int | None = None, check: bool = True):
         super().__init__(crossings, (), free_loops)
-        if basepoint is None:
-            basepoint = min(min(c.ends) for c in self.crossings) if self.crossings else 0
-        self.basepoint = basepoint
+        if basepoint is not None:
+            self.basepoint = basepoint
         if check:
             self.validate()
+
+    @cached_property
+    def basepoint(self) -> int:
+        """The basepoint edge: the one given, else the least edge id."""
+        return min(min(c.ends) for c in self.crossings) if self.crossings else 0
 
     @classmethod
     def unknot(cls) -> "Diagram":

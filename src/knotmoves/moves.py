@@ -217,6 +217,12 @@ def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
     Preserves every pairwise over/under relation; whether this is an R3
     isotopy or an order-3 move depends only on the pattern at the corners.
     """
+    return _slid(frag, _slide_records(frag, c1, c2, c3, x12, x23, x31))
+
+
+def _slide_records(frag: Fragment, c1: int, c2: int, c3: int,
+                   x12: int, x23: int, x31: int) -> tuple[Crossing, ...]:
+    """The crossing records after ``triangle_slide``, with nothing built."""
     crossings = list(frag.crossings)
     ca, cb, cc = crossings[c1], crossings[c2], crossings[c3]
     try:
@@ -246,6 +252,11 @@ def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
     crossings[c1] = Crossing(tuple(na))
     crossings[c2] = Crossing(tuple(nb))
     crossings[c3] = Crossing(tuple(nc))
+    return tuple(crossings)
+
+
+def _slid(frag: Fragment, crossings: tuple[Crossing, ...]) -> Fragment:
+    """Build the slid fragment from its records and check its edge pairing."""
     out = _rebuild(frag, crossings)
     out.check_edge_pairing()
     return out
@@ -333,7 +344,10 @@ class _Explorer:
     the key.  Reduction is deterministic in that state, so the first visit
     already either rejected it or put its key into ``seen``: a repeat could
     only be discarded, and since its expansion is counted first, scripts,
-    keys and expansion counts are the same as without the skip.
+    keys and expansion counts are the same as without the skip.  When a
+    step ends in a triangle slide, the test runs on the slid records,
+    before the fragment and its slot tables are built; every kept state is
+    still built and checked as ``triangle_slide`` does it.
     """
 
     def __init__(self, start: Fragment, script: Script,
@@ -372,12 +386,21 @@ class _Explorer:
                 self.expansions += 1
                 if self.expansions > budget:
                     break
+                *prep, last = step
+                slide = last[0] in ("r3", "delta")
                 try:
-                    nxt = replay(cur, step)
+                    nxt = replay(cur, prep)
+                    if slide:
+                        records = _slide_records(nxt, *last[1:])
+                    else:
+                        nxt = apply_move(nxt, last)
+                        records = nxt.crossings
+                    state = (records, nxt.legs, nxt.free_loops)
+                    if state in reached:
+                        continue
+                    if slide:
+                        nxt = _slid(nxt, records)
                 except (InapplicableMove, MalformedDiagram):
-                    continue
-                state = (nxt.crossings, nxt.legs, nxt.free_loops)
-                if state in reached:
                     continue
                 reached.add(state)
                 reduced = self.reduce(nxt)
@@ -402,7 +425,12 @@ def _r3_steps(frag: Fragment):
 
 
 def _delta_steps(frag: Fragment):
-    """Triangle flips, then each R2 push followed by a flip it enables."""
+    """Triangle flips, then each R2 push followed by every flip of the pushed diagram.
+
+    Most of those flips lie away from the push, so greedy reduction strips
+    the push again and reaches a start seen before; expansion counts pin
+    this order, so the repeats stay.
+    """
     for site in triangle_slide_sites(frag, "delta"):
         yield (site,)
     for prep in r2_add_sites(frag):

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from . import gauss
 from .diagram import Diagram
 from .moves import (Script, _canonical_key, _delta_steps, _Explorer, _switch_steps,
-                    replay, simplify, simplify_with_script)
+                    greedy_reduce, replay, simplify, simplify_with_script)
 
 DEFAULT_BUDGET = 4000
+MOVE_KINDS = frozenset({"B2", "B3", "B4"})
 
 
 @dataclass
@@ -45,6 +46,26 @@ def _move_count(script: Script) -> int:
     return sum(1 for e in script if e[0] in ("switch", "delta"))
 
 
+def _simplifier(r3_budget: int):
+    """``simplify_with_script`` for one search, exploring each reduced start once.
+
+    The R3 exploration and its script depend only on the exact greedy-reduced
+    state, so a start reached again reuses its result.  A fresh dict per
+    search keeps nothing between calls.
+    """
+    explored: dict[tuple, tuple[Diagram, Script]] = {}
+
+    def simplify_once(d: Diagram) -> tuple[Diagram, Script]:
+        start, prefix = greedy_reduce(d)
+        state = (start.crossings, start.free_loops)
+        if state not in explored:
+            explored[state] = simplify_with_script(start, r3_budget)
+        best, suffix = explored[state]
+        return best, prefix + suffix
+
+    return simplify_once
+
+
 def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
              budget: int = DEFAULT_BUDGET, cap_extra: int = 4,
              r3_budget: int = 200) -> SearchResult:
@@ -56,10 +77,11 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     (so B4-only searches report exhaustion).  Intermediate diagrams are
     capped at n(d1) + cap_extra crossings.
     """
-    bad = movekinds - {"B2", "B3", "B4"}
+    bad = movekinds - MOVE_KINDS
     if bad:
         raise ValueError(f"unsupported move kinds: {sorted(bad)}")
-    start, start_script = simplify_with_script(d1, r3_budget)
+    simplify_once = _simplifier(r3_budget)
+    start, start_script = simplify_once(d1)
     goal = simplify(d2, r3_budget).canonical_key
     if start.canonical_key == goal:
         return SearchResult(True, [], 0, 0, "already equivalent")
@@ -74,7 +96,7 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     def reduce(d: Diagram):
         if d.n_crossings > cap + 2:
             return None
-        d, extra = simplify_with_script(d, r3_budget)
+        d, extra = simplify_once(d)
         return None if d.n_crossings > cap else (d, extra)
 
     walk = _Explorer(start, list(start_script), _canonical_key, steps, reduce, budget)
@@ -95,11 +117,12 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET, cap_extra: int = 4,
     Intermediates are capped at n(d) + cap_extra crossings.  Failures are
     budget artifacts, never counterexamples.
     """
-    start, start_script = simplify_with_script(d, r3_budget)
+    simplify_once = _simplifier(r3_budget)
+    start, start_script = simplify_once(d)
     cap = max(start.n_crossings, d.n_crossings) + cap_extra
 
     def reduce(nxt: Diagram):
-        nxt, extra = simplify_with_script(nxt, r3_budget)
+        nxt, extra = simplify_once(nxt)
         return None if nxt.n_crossings > cap else (nxt, extra)
 
     def score(x: Diagram) -> int:

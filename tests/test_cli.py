@@ -124,6 +124,18 @@ def test_search_and_replay(tmp_path):
     assert strip_header(records)[0]["ok"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--to", "", "--movekinds", "B5"], "unsupported move kinds: ['B5']"),
+    (["--to", "", "--movekinds", "B2,"], "unsupported move kinds: ['']"),
+    (["--to", "", "--budget", "-1"], "budget must be non-negative, got -1"),
+    (["--delta-unknot", "--budget", "-5"], "budget must be non-negative, got -5"),
+])
+def test_search_bad_input_exit_2(args, message):
+    code, records, err = run("search", "--from", "4 6 2", *args)
+    assert code == 2 and records == []
+    assert err == f"bad input: {message}\n"
+
+
 def test_delta_unknot_command():
     code, records, _ = run("search", "--from", "4 6 8 2", "--delta-unknot")
     assert code == 0

@@ -6,10 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotmoves.diagram import (Crossing, Diagram, MalformedDiagram, NotRealizable,
+from knotmoves.corpus import corpus
+from knotmoves.diagram import (Crossing, Diagram, Fragment, MalformedDiagram, NotRealizable,
                                emit_dt, emit_pd, parse_dt, parse_pd)
+from knotmoves.finitetype import random_family
 from knotmoves.gauss import to_gauss
 from knotmoves.moves import random_perturb
+from knotmoves.templates import family
 
 
 def _gauss_sequence(self, reverse: bool = False) -> list[tuple[int, bool, int]]:
@@ -252,6 +255,49 @@ def test_pd_round_trip(left_trefoil, knots):
 def test_basepoint_lowest_edge():
     d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
     assert d.basepoint == 1
+
+
+def eager_init(self, crossings=(), free_loops=0, basepoint=None, check=True):
+    """``Diagram.__init__`` as it was when the least edge id was found on build."""
+    Fragment.__init__(self, crossings, (), free_loops)
+    if basepoint is None:
+        basepoint = min(min(c.ends) for c in self.crossings) if self.crossings else 0
+    self.basepoint = basepoint
+    if check:
+        self.validate()
+
+
+def basepoint_cases() -> list[Diagram]:
+    """Diagrams built every way the package builds one, with and without a
+    basepoint: corpus knots (DT, connected sums), R-perturbed and PD-parsed
+    copies, relabelings, mirrors, sums, glued family members, the unknot."""
+    out = []
+    knots = corpus(include_unknot=True)
+    rng = random.Random(5)
+    for i, d in enumerate(knots.values()):
+        p = random_perturb(d, 6, seed=i)
+        out += [d, p, Diagram(p.crossings, p.free_loops), d.mirror(), p.mirror()]
+        if d.crossings:
+            out.append(parse_pd(emit_pd(p)))
+            out.append(p.relabeled({e: 3 * e + 7 for e in reversed(p.edges())}))
+            out.append(p.connected_sum(knots["3_1"]))
+        fam = random_family(d, (2, 3), rng)
+        if fam is not None:
+            out += [m for _, m in sorted(family(fam).items(), key=lambda kv: sorted(kv[0]))]
+    return out
+
+
+def test_lazy_basepoint_matches_eager(monkeypatch):
+    # The key is read first, so a lazy basepoint is first found by knot_walk.
+    def values(ds):
+        return [(d.canonical_key, d.knot_walk, d.basepoint) for d in ds]
+
+    lazy = values(basepoint_cases())
+    with monkeypatch.context() as m:
+        m.setattr(Diagram, "__init__", eager_init)
+        eager = values(basepoint_cases())
+    assert len(lazy) > 300
+    assert lazy == eager
 
 
 def test_canonical_key_invariances(left_trefoil):

@@ -1,8 +1,15 @@
+import heapq
+import itertools
+from collections import deque
+
 import pytest
 
-from knotmoves.diagram import Diagram
+from knotmoves import moves, search
+from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
-from knotmoves.moves import replay
+from knotmoves.moves import (InapplicableMove, _canonical_key, _delta_steps, _Explorer,
+                             _r3_steps, greedy_reduce, random_perturb, replay,
+                             simplify_with_script)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
 
 
@@ -142,3 +149,157 @@ def test_bfs_path_mixed_b2_b3_golden(small_knots, unknot):
                    budget=150)
     assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 151,
                              "note": "budget exhausted", "script": []}
+
+
+# -- reference: every reduced start explored, every slide state built ----------
+
+class ReferenceExplorer(_Explorer):
+    """The explorer loop before the pre-build test: each step is replayed in
+    full, and its exact state tested against ``reached`` only then."""
+
+    def __iter__(self):
+        key_fn, budget, score = self.key_fn, self.budget, self.score
+        frontier: deque | list = deque() if score is None else []
+        arrival = itertools.count()
+
+        def push(frag, script):
+            if score is None:
+                frontier.append((frag, script))
+            else:
+                rank = (score(frag), frag.n_crossings, next(arrival))
+                heapq.heappush(frontier, (rank, frag, script))
+
+        def pop():
+            return frontier.popleft() if score is None else heapq.heappop(frontier)[1:]
+
+        key = key_fn(self.start)
+        seen = {key}
+        reached: set[tuple] = set()
+        yield self.start, key, self.script
+        push(self.start, self.script)
+        while frontier and self.expansions < budget:
+            cur, script = pop()
+            for step in self.steps(cur):
+                self.expansions += 1
+                if self.expansions > budget:
+                    break
+                try:
+                    nxt = replay(cur, step)
+                except (InapplicableMove, MalformedDiagram):
+                    continue
+                state = (nxt.crossings, nxt.legs, nxt.free_loops)
+                if state in reached:
+                    continue
+                reached.add(state)
+                reduced = self.reduce(nxt)
+                if reduced is None:
+                    continue
+                nxt, extra = reduced
+                key = key_fn(nxt)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nscript = script + list(step) + extra
+                yield nxt, key, nscript
+                push(nxt, nscript)
+
+
+def reference_run(monkeypatch, search_fn, *args, **kwargs):
+    """Run a search with the reference explorer, whose reduce runs
+    ``simplify_with_script`` on every neighbour."""
+    with monkeypatch.context() as m:
+        m.setattr(moves, "_Explorer", ReferenceExplorer)
+        m.setattr(search, "_Explorer", ReferenceExplorer)
+        m.setattr(search, "_simplifier",
+                  lambda r3_budget: lambda d: simplify_with_script(d, r3_budget))
+        return search_fn(*args, **kwargs).to_json()
+
+
+def test_delta_unknot_matches_reference(monkeypatch, small_knots):
+    for name, d in small_knots.items():
+        if d.n_crossings <= 6:
+            assert delta_unknot(d).to_json() == reference_run(
+                monkeypatch, delta_unknot, d), name
+
+
+BFS_CASES = [("3_1", "unknot", {"B2"}, 4000), ("5_2", "unknot", {"B3"}, 400),
+             ("granny", "square", {"B3"}, 150), ("3_1", "unknot", {"B2", "B3"}, 4000),
+             ("5_2", "unknot", {"B2", "B3"}, 400), ("4_1", "3_1", {"B2", "B3"}, 300),
+             ("granny", "square", {"B2", "B3"}, 150)]
+
+
+@pytest.mark.parametrize("a, b, kinds, budget", BFS_CASES)
+def test_bfs_path_matches_reference(monkeypatch, small_knots, a, b, kinds, budget):
+    d1, d2 = small_knots[a], small_knots[b]
+    assert bfs_path(d1, d2, kinds, budget).to_json() == reference_run(
+        monkeypatch, bfs_path, d1, d2, kinds, budget)
+
+
+def count_explorations(monkeypatch):
+    """Record the greedy-reduced starts a search sees and the ones it explores."""
+    reduced, explored = [], []
+
+    def greedy(d):
+        out = greedy_reduce(d)
+        reduced.append((out[0].crossings, out[0].free_loops))
+        return out
+
+    def explore(d, r3_budget):
+        explored.append((d.crossings, d.free_loops))
+        return simplify_with_script(d, r3_budget)
+
+    monkeypatch.setattr(search, "greedy_reduce", greedy)
+    monkeypatch.setattr(search, "simplify_with_script", explore)
+    return reduced, explored
+
+
+@pytest.mark.parametrize("name, run", [
+    ("5_1", lambda d, knots: delta_unknot(d)),
+    ("granny", lambda d, knots: delta_unknot(d)),
+    ("5_2", lambda d, knots: bfs_path(d, knots["unknot"], {"B3"}, 400)),
+    ("4_1", lambda d, knots: bfs_path(d, knots["3_1"], {"B2", "B3"}, 300)),
+])
+def test_each_reduced_start_explored_once(monkeypatch, small_knots, name, run):
+    reduced, explored = count_explorations(monkeypatch)
+    run(small_knots[name], small_knots)
+    assert len(reduced) > len(set(reduced))  # starts do repeat
+    assert len(explored) == len(set(explored)) == len(set(reduced))
+
+
+def test_back_to_back_searches_keep_nothing(monkeypatch, small_knots):
+    reduced, explored = count_explorations(monkeypatch)
+    first = delta_unknot(small_knots["6_1"]).to_json()
+    n, m = len(explored), len(reduced)
+    assert n == len(set(reduced)) > 1
+    assert delta_unknot(small_knots["6_1"]).to_json() == first
+    # The second search explores every start again: no memo outlives a call.
+    assert explored[n:] == explored[:n] and reduced[m:] == reduced[:m]
+
+
+@pytest.mark.parametrize("steps, reduce", [(_r3_steps, lambda f: (f, [])),
+                                           (_delta_steps, greedy_reduce)])
+def test_no_slide_state_built_twice(monkeypatch, knots, steps, reduce):
+    built, slides = [], []
+    slid, slide_records = moves._slid, moves._slide_records
+
+    def count_slid(frag, crossings):
+        built.append((crossings, frag.legs, frag.free_loops))
+        return slid(frag, crossings)
+
+    def count_records(frag, *site):
+        slides.append(site)
+        return slide_records(frag, *site)
+
+    for name in ("5_2", "6_3", "3_1+4_1"):
+        start = random_perturb(knots[name], 10, seed=4)
+        ref = list(ReferenceExplorer(start, [], _canonical_key, steps, reduce, 300))
+        with monkeypatch.context() as m:
+            m.setattr(moves, "_slid", count_slid)
+            m.setattr(moves, "_slide_records", count_records)
+            walk = _Explorer(start, [], _canonical_key, steps, reduce, 300)
+            got = list(walk)
+        assert [(k, s) for _, k, s in got] == [(k, s) for _, k, s in ref], name
+        assert len(built) == len(set(built)), name
+        assert len(slides) > len(built), name  # repeats were skipped unbuilt
+        built.clear()
+        slides.clear()
