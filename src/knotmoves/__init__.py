@@ -13,7 +13,7 @@ from .diagram import (
 )
 from .gauss import GaussDiagram, to_gauss, v2, v3
 from .invariants import conway, jones, kauffman_bracket, vassiliev_report
-from .moves import reidemeister, simplify
+from .moves import apply_move, simplify
 from .poly import LaurentPolynomial
 from .templates import Chord, MoveTemplate, SingularFamily, builtin_templates
 
@@ -28,6 +28,7 @@ __all__ = [
     "MoveTemplate",
     "NotRealizable",
     "SingularFamily",
+    "apply_move",
     "builtin_templates",
     "conway",
     "emit_dt",
@@ -36,7 +37,6 @@ __all__ = [
     "kauffman_bracket",
     "parse_dt",
     "parse_pd",
-    "reidemeister",
     "simplify",
     "to_gauss",
     "v2",

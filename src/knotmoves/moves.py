@@ -137,12 +137,9 @@ def r2_remove(frag: Fragment, ci: int, cj: int, x: int, y: int) -> Fragment:
     return _finish(frag, rest, joiner)
 
 
-def r2_add_sites(frag: Fragment, max_faces: int | None = None) -> list[tuple]:
+def r2_add_sites(frag: Fragment) -> list[tuple]:
     sites = []
-    walks = frag.face_walks()
-    if max_faces is not None:
-        walks = walks[:max_faces]
-    for walk in walks:
+    for walk in frag.face_walks():
         m = len(walk)
         for i in range(m):
             for j in range(i + 1, m):
@@ -262,26 +259,6 @@ def _slid(frag: Fragment, crossings: tuple[Crossing, ...]) -> Fragment:
     return out
 
 
-def reidemeister(d: Diagram, kind: int, site, direction: str) -> Diagram:
-    """Apply one Reidemeister move.
-
-    kind 1/2/3 with direction "add" or "remove" (kind 3 ignores direction);
-    sites are the tuples produced by the site enumerators of this module
-    with the leading tag stripped, e.g. ``(edge, chirality)`` for an R1 add.
-    """
-    if kind == 1:
-        out = r1_add(d, *site) if direction == "add" else r1_remove(d, *site)
-    elif kind == 2:
-        out = r2_add(d, *site) if direction == "add" else r2_remove(d, *site)
-    elif kind == 3:
-        out = triangle_slide(d, *site)
-    else:
-        raise InapplicableMove(f"unknown move kind {kind}")
-    if isinstance(out, Diagram):
-        out.validate()
-    return out  # type: ignore[return-value]
-
-
 # -- scripts ------------------------------------------------------------------
 
 # The field types after the tag of each script entry.  Only the R2 over
@@ -294,6 +271,7 @@ _CROSSING_FIELDS = {"r1-": 1, "r2-": 2, "r3": 3, "delta": 3, "switch": 1}
 
 
 def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
+    """Apply one script entry ``(op, *fields)``: the dispatcher for every move."""
     op, fields = entry[0], entry[1:]
     if op not in _TYPES:
         raise InapplicableMove(f"unknown move {op!r}")
@@ -475,15 +453,9 @@ def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
     return best, best_script
 
 
-def simplify(d: Diagram, r3_budget: int = 1000) -> Diagram:
-    """R-move simplification of a knot diagram (never increases crossings)."""
-    out, _ = simplify_fragment(d, _canonical_key, r3_budget)
-    return out  # type: ignore[return-value]
-
-
-def simplify_with_script(d: Diagram, r3_budget: int = 1000) -> tuple[Diagram, Script]:
-    out, script = simplify_fragment(d, _canonical_key, r3_budget)
-    return out, script  # type: ignore[return-value]
+def simplify(d: Diagram, r3_budget: int = 1000) -> tuple[Diagram, Script]:
+    """R-move simplification of a knot diagram (never adds crossings) and its script."""
+    return simplify_fragment(d, _canonical_key, r3_budget)  # type: ignore[return-value]
 
 
 # -- random perturbation -------------------------------------------------------

@@ -37,8 +37,7 @@ from typing import Callable, Container, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, _IdJoiner
 from .moves import (InapplicableMove, Script, _delta_steps, _Explorer, _r3_steps,
-                    _switch_steps, apply_move, greedy_reduce, replay, triangle_slide,
-                    triangle_slide_sites)
+                    _switch_steps, apply_move, greedy_reduce, replay, triangle_slide_sites)
 from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
                       tangle_key)
 
@@ -317,29 +316,20 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
 
 def apply_chord(d: Diagram, chord: Chord) -> Diagram:
     """Apply one chord; the diagram is changed only at the chord's sites."""
-    if chord.kind == "switch":
-        (ci,) = chord.sites
-        if not 0 <= ci < d.n_crossings:
-            raise InvalidSite(f"no crossing {ci}")
-        crossings = list(d.crossings)
-        crossings[ci] = crossings[ci].mirrored()
-        return Diagram(crossings, d.free_loops, d.basepoint, check=False)
-    if chord.kind == "delta":
-        c1, c2, c3, x12, x23, x31 = chord.sites
-        try:
-            s1 = d.crossings[c1].ends.index(x12)
-            s2 = d.crossings[c2].ends.index(x12)
-        except (IndexError, ValueError) as exc:
-            raise InvalidSite("stale triangle site") from exc
-        if (s1 % 2) == (s2 % 2):
-            raise InvalidSite("triangle pattern is coherent: an isotopy, "
-                              "not an order-3 move")
-        out = triangle_slide(d, c1, c2, c3, x12, x23, x31)
-        out.validate()
-        return out  # type: ignore[return-value]
     if chord.kind == "insert":
         return _glue_many(d, [chord])({0}, {})
-    raise ValueError(f"unknown chord kind {chord.kind!r}")
+    chord.touched(d)  # unknown kinds and crossings out of range
+    if chord.kind == "delta":
+        c1, c2, _, x12 = chord.sites[:4]
+        ends1, ends2 = d.crossings[c1].ends, d.crossings[c2].ends
+        if x12 not in ends1 or x12 not in ends2:
+            raise InvalidSite("stale triangle site")
+        if ends1.index(x12) % 2 == ends2.index(x12) % 2:
+            raise InvalidSite("triangle pattern is coherent: an isotopy, "
+                              "not an order-3 move")
+    out = apply_move(d, (chord.kind, *chord.sites))
+    out.validate()
+    return out  # type: ignore[return-value]
 
 
 def check_disjoint(d: Diagram, chords: Sequence[Chord]) -> None:
@@ -469,7 +459,7 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
     Includes rewrite sites (crossing switches for k=2, triangle flips for
     k=3) and insertion site tuples on each face, capped per call.
     """
-    if k not in (2, 3, 4):
+    if k not in builtin_templates():
         raise ValueError("builtin templates exist for k in {2, 3, 4}")
     chords: list[Chord] = []
     if k == 2:
@@ -506,7 +496,7 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
     `offset_base` shifts the subdivision offsets so several chords can cut
     the same edge at distinct points.
     """
-    if k not in (2, 3, 4):
+    if k not in builtin_templates():
         raise ValueError("builtin templates exist for k in {2, 3, 4}")
     used_edges = used_edges or set()
     walks = [w for w in d.face_walks()

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from knotmoves import cli, finitetype
+from knotmoves.corpus import corpus
 
 CLI = [sys.executable, "-m", "knotmoves.cli"]
 
@@ -315,3 +316,16 @@ def test_path_replay_entry_that_cannot_apply(tmp_path, diagram, script):
     [rec] = strip_header(records)
     assert rec["record"] == "replay" and rec["ok"] is False and rec["error"]
     assert "Traceback" not in err
+
+
+def test_searches_suite_covers_its_max_crossings(tmp_path, capsys):
+    # The suite searches every corpus diagram up to max_crossings, 8 included.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "searches", "max_crossings": 8, "budget": 5, "require_rate": 0.0}]}))
+    cli.main(["verify", "--config", str(cfg)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    cases = {r["case"] for r in records if r.get("record") == "search"}
+    assert "delta-unknot:dt8a" in cases
+    names = corpus(max_crossings=8, include_unknot=True)
+    assert cases == {"trefoil-unknot-B2"} | {f"delta-unknot:{n}" for n in names}

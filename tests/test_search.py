@@ -8,8 +8,8 @@ from knotmoves import moves, search
 from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
 from knotmoves.moves import (InapplicableMove, _canonical_key, _delta_steps, _Explorer,
-                             _r3_steps, greedy_reduce, random_perturb, replay,
-                             simplify_with_script)
+                             _r3_steps, _switch_steps, greedy_reduce, random_perturb, replay,
+                             simplify)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
 
 
@@ -70,6 +70,36 @@ def test_delta_unknot_batch(small_knots):
             assert res.note == "budget exhausted", name
     rate = sum(r.found for r in results.values()) / len(results)
     assert rate >= 0.8
+
+
+def test_start_at_the_goal(unknot):
+    # A perturbed unknot that simplifies to the unknot: the goal is the start.
+    d = random_perturb(unknot, 8, seed=2)
+    script = simplify(d, search.R3_BUDGET)[1]
+    assert d.n_crossings == 7 and script
+    assert delta_unknot(d).to_json() == {"found": True, "moves_used": 0, "expansions": 0,
+                                         "note": "", "script": [list(e) for e in script]}
+    assert replay_path(d, script, "unknot")
+    assert bfs_path(d, unknot, {"B2"}).to_json() == {
+        "found": True, "moves_used": 0, "expansions": 0, "note": "already equivalent",
+        "script": []}
+
+
+def test_a_step_adds_at_most_two_crossings(small_knots):
+    # So a state capped at n crossings yields neighbours of at most n + 2,
+    # and the search needs no test before it simplifies them.
+    tight = 0
+    for name, d in small_knots.items():
+        p = random_perturb(d, 4, seed=5)
+        for steps in (_switch_steps, _delta_steps):
+            for step in steps(p):
+                try:
+                    out = replay(p, step)
+                except (InapplicableMove, MalformedDiagram):
+                    continue
+                assert out.n_crossings <= p.n_crossings + 2, (name, step)
+                tight += out.n_crossings == p.n_crossings + 2
+    assert tight > 0  # an R2 push followed by a flip reaches the bound
 
 
 def test_search_deterministic(left_trefoil, unknot):
@@ -206,12 +236,12 @@ class ReferenceExplorer(_Explorer):
 
 def reference_run(monkeypatch, search_fn, *args, **kwargs):
     """Run a search with the reference explorer, whose reduce runs
-    ``simplify_with_script`` on every neighbour."""
+    ``simplify`` on every neighbour."""
     with monkeypatch.context() as m:
         m.setattr(moves, "_Explorer", ReferenceExplorer)
         m.setattr(search, "_Explorer", ReferenceExplorer)
         m.setattr(search, "_simplifier",
-                  lambda r3_budget: lambda d: simplify_with_script(d, r3_budget))
+                  lambda r3_budget: lambda d: simplify(d, r3_budget))
         return search_fn(*args, **kwargs).to_json()
 
 
@@ -246,10 +276,10 @@ def count_explorations(monkeypatch):
 
     def explore(d, r3_budget):
         explored.append((d.crossings, d.free_loops))
-        return simplify_with_script(d, r3_budget)
+        return simplify(d, r3_budget)
 
     monkeypatch.setattr(search, "greedy_reduce", greedy)
-    monkeypatch.setattr(search, "simplify_with_script", explore)
+    monkeypatch.setattr(search, "simplify", explore)
     return reduced, explored
 
 
@@ -262,6 +292,10 @@ def count_explorations(monkeypatch):
 def test_each_reduced_start_explored_once(monkeypatch, small_knots, name, run):
     reduced, explored = count_explorations(monkeypatch)
     run(small_knots[name], small_knots)
+    goal = {"5_2": "unknot", "4_1": "3_1"}.get(name)
+    if goal is not None:  # bfs_path simplifies its goal first, outside the search
+        g = small_knots[goal]
+        assert explored.pop(0) == (g.crossings, g.free_loops)
     assert len(reduced) > len(set(reduced))  # starts do repeat
     assert len(explored) == len(set(explored)) == len(set(reduced))
 
