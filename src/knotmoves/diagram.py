@@ -221,17 +221,7 @@ class Fragment:
             return True
         if self.legs or self.free_loops:
             raise ValueError("planarity test applies to closed connected fragments")
-        mate = self._slots[0]
-        seen = bytearray(len(mate))
-        faces = 0
-        for p in range(len(mate)):
-            if not seen[p]:
-                faces += 1
-                while not seen[p]:
-                    seen[p] = 1
-                    q = mate[p]
-                    p = (q & ~3) | ((q + 1) & 3)
-        return faces == self.n_crossings + 2
+        return len(self._face_walks) == self.n_crossings + 2
 
     def max_edge_id(self) -> int:
         _, dart, order = self._slots
@@ -321,12 +311,11 @@ class Diagram(Fragment):
             return
         if self.free_loops:
             raise MalformedDiagram("knot diagram with crossings cannot carry free loops")
-        self.check_edge_pairing()
-        comps = self.closed_components()
-        if len(comps) != 1:
-            raise MalformedDiagram(f"diagram has {len(comps)} components (expected 1)")
-        if len(comps[0]) != 2 * self.n_crossings:
-            raise MalformedDiagram("traversal does not cover every edge")
+        # The slot tables check the edge pairing; strand walks then partition
+        # the edges, so one walk covers all 2n exactly when it is the only one.
+        if len(self._strand_walk(0)) != 2 * self.n_crossings:
+            raise MalformedDiagram(
+                f"diagram has {len(self.closed_components())} components (expected 1)")
         if not any(self.basepoint in c.ends for c in self.crossings):
             raise MalformedDiagram(f"basepoint edge {self.basepoint} not present")
 

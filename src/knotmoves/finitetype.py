@@ -14,7 +14,7 @@ from . import gauss
 from .diagram import Diagram, MalformedDiagram
 from .moves import InapplicableMove
 from .templates import (Chord, InvalidSite, SingularFamily, apply_chord, family,
-                        random_insert_chord, triangle_slide_sites)
+                        random_insert_chord, rewrite_chords)
 
 INVARIANTS = {"v2": gauss.v2, "v3": gauss.v3}
 
@@ -32,30 +32,26 @@ def random_family(base: Diagram, orders: tuple[int, ...], rng: random.Random,
                   allow_switch: bool = True) -> SingularFamily | None:
     """Sample disjoint chords of the given orders on `base`; None on failure.
 
-    Rewrite chords (switches, triangle flips) may share through-edges with
-    each other; insertion sites must avoid every other chord's edges.
+    An order-2 chord is a free switch with chance 1/2 (if `allow_switch`), an
+    order-3 chord a free flip with chance 1/4, else an insertion.  Rewrites may
+    share through-edges; insertion sites must avoid every other chord's edges.
     """
     chords: list[Chord] = []
     used_crossings: set[int] = set()
     rewrite_edges: set[int] = set()
     insert_edges: set[int] = set()
+    rewrite_chance = {2: 0.5 if allow_switch else 0, 3: 0.25}
     for idx, k in enumerate(orders):
         chord = None
-        if k == 2 and allow_switch and base.n_crossings and rng.random() < 0.5:
-            free = [ci for ci in range(base.n_crossings)
-                    if ci not in used_crossings
-                    and not (set(base.crossings[ci].ends) & insert_edges)]
-            if free:
-                chord = Chord(2, "switch", (free[rng.randrange(len(free))],))
-        if chord is None and k == 3 and base.n_crossings and rng.random() < 0.25:
-            deltas = []
-            for s in triangle_slide_sites(base, "delta"):
-                delta = Chord(3, "delta", s[1:])
-                edges, cis = delta.touched(base)
+        chance = rewrite_chance.get(k, 0)
+        if chance and base.n_crossings and rng.random() < chance:
+            free = []
+            for c in rewrite_chords(base, k):
+                edges, cis = c.touched(base)
                 if not (cis & used_crossings or edges & insert_edges):
-                    deltas.append(delta)
-            if deltas:
-                chord = deltas[rng.randrange(len(deltas))]
+                    free.append(c)
+            if free:
+                chord = free[rng.randrange(len(free))]
         if chord is None:
             chord = random_insert_chord(base, k, rng, rewrite_edges,
                                         offset_base=4 * idx)
@@ -158,12 +154,11 @@ def move_invariance_report(d: Diagram, l: int, n_moves: int, seed: int) -> dict:
     return report
 
 
-def delta_v2_witness(bases: dict[str, Diagram], seed: int = 7,
-                     attempts: int = 200) -> dict | None:
-    """A concrete order-3 chord application with |delta v2| = 1."""
+def delta_v2_witness(bases: dict[str, Diagram], seed: int = 7) -> dict | None:
+    """A concrete order-3 chord application with |delta v2| = 1, in 200 draws."""
     rng = random.Random(seed)
     names = sorted(bases)
-    for _ in range(attempts):
+    for _ in range(200):
         base = bases[names[rng.randrange(len(names))]]
         chord = random_insert_chord(base, 3, rng)
         if chord is None:

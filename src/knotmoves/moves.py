@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, MalformedDiagram, _IdJoiner
@@ -312,10 +311,10 @@ class _Explorer:
     counts as one expansion whether or not it applies, and the walk
     stops once the frontier is empty or ``budget`` expansions are spent.
     ``reduce(raw)`` returns ``(fragment, extra_script)`` or ``None`` to
-    reject the neighbour.  The frontier is FIFO, or a heap on
-    ``(score(fragment), n_crossings, arrival)`` when ``score`` is given.
-    A state is pushed after it is yielded, so a caller that stops at its
-    goal never pays for scoring it.
+    reject the neighbour.  The frontier is one heap, ranked by arrival
+    (FIFO), or by ``(score(fragment), n_crossings, arrival)`` when ``score``
+    is given.  A state is pushed after it is yielded, so a caller that
+    stops at its goal never pays for scoring it.
 
     A neighbour whose exact state (crossing records, legs and free loops,
     before ``reduce``) was already reached is skipped before ``reduce`` and
@@ -340,18 +339,13 @@ class _Explorer:
 
     def __iter__(self):
         key_fn, budget, score = self.key_fn, self.budget, self.score
-        frontier: deque | list = deque() if score is None else []
+        frontier: list = []
         arrival = itertools.count()
 
         def push(frag, script):
-            if score is None:
-                frontier.append((frag, script))
-            else:
-                rank = (score(frag), frag.n_crossings, next(arrival))
-                heapq.heappush(frontier, (rank, frag, script))
-
-        def pop():
-            return frontier.popleft() if score is None else heapq.heappop(frontier)[1:]
+            # Arrival is unique, so a tie never compares two fragments.
+            rank = (score(frag), frag.n_crossings, next(arrival)) if score else next(arrival)
+            heapq.heappush(frontier, (rank, frag, script))
 
         key = key_fn(self.start)
         seen = {key}
@@ -359,7 +353,7 @@ class _Explorer:
         yield self.start, key, self.script
         push(self.start, self.script)
         while frontier and self.expansions < budget:
-            cur, script = pop()
+            _, cur, script = heapq.heappop(frontier)
             for step in self.steps(cur):
                 self.expansions += 1
                 if self.expansions > budget:
@@ -441,7 +435,7 @@ def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
 
 
 def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
-                      r3_budget: int = 1000) -> tuple[Fragment, Script]:
+                      r3_budget: int) -> tuple[Fragment, Script]:
     """Greedy R1/R2 reduction plus a budgeted R3 exploration.
 
     Never returns a fragment with more crossings than the input; ties are

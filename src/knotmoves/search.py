@@ -35,11 +35,9 @@ class SearchResult:
                 "script": [list(e) for e in self.script]}
 
 
-def replay_path(d: Diagram, script: Script, target_key: str,
-                r3_budget: int = 1000) -> bool:
+def replay_path(d: Diagram, script: Script, target_key: str) -> bool:
     """Replay a script on d; True iff the simplified result hits target_key."""
-    cur = replay(d, script)
-    final, _ = simplify(Diagram(cur.crossings, cur.free_loops, check=False), r3_budget)
+    final, _ = simplify(replay(d, script))  # type: ignore[arg-type]
     return final.canonical_key == target_key
 
 

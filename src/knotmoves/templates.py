@@ -42,6 +42,7 @@ from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
                       tangle_key)
 
 _ID_BLOCK = 4096
+_CERT_R3_BUDGET = 800  # R3 expansions per strand-deletion reduction
 
 
 class InvalidSite(InapplicableMove):
@@ -65,12 +66,12 @@ class MoveTemplate:
         return MoveTemplate(self.k, self.name + "~inv", self.after, self.before,
                             self.insertions)
 
-    def brunnian_certificates(self, r3_budget: int = 800) -> dict:
+    def brunnian_certificates(self) -> dict:
         """Reduction scripts witnessing triviality of every strand deletion."""
         pair: dict[int, tuple[Script, Script]] = {}
         for s in range(self.k):
-            db, scr_b = simplify_tangle(self.before.delete_strand(s), r3_budget)
-            da, scr_a = simplify_tangle(self.after.delete_strand(s), r3_budget)
+            db, scr_b = simplify_tangle(self.before.delete_strand(s), _CERT_R3_BUDGET)
+            da, scr_a = simplify_tangle(self.after.delete_strand(s), _CERT_R3_BUDGET)
             if tangle_key(db) != tangle_key(da):
                 raise AssertionError(
                     f"{self.name}: strand {s} deletion is not a trivial move")
@@ -79,7 +80,7 @@ class MoveTemplate:
         for v, blob in enumerate(self.insertions):
             per = {}
             for s in range(self.k):
-                reduced, script = simplify_tangle(blob.delete_strand(s), r3_budget)
+                reduced, script = simplify_tangle(blob.delete_strand(s), _CERT_R3_BUDGET)
                 if reduced.n_crossings != 0:
                     raise AssertionError(
                         f"{self.name}: insertion variant {v} strand {s} "
@@ -189,8 +190,8 @@ class Chord:
         # kind -> (order, site count, whether a site is an [edge, offset, side] list)
         shape = {"switch": (2, 1, False), "delta": (3, 6, False), "insert": (k, k, True)}.get(kind)
         if shape is None or not index(k) or k not in builtin_templates() or k != shape[0] \
-                or type(variant) is not int or not isinstance(sites, list) \
-                or len(sites) != shape[1] or not all(
+                or not index(variant) or variant >= len(builtin_templates()[k].insertions) \
+                or not isinstance(sites, list) or len(sites) != shape[1] or not all(
                     isinstance(s, list) and len(s) == 3 and all(map(index, s)) and s[2] < 2
                     if shape[2] else index(s) for s in sites):
             raise InvalidSite(f"malformed chord {obj!r}")
@@ -375,9 +376,6 @@ class SingularFamily:
     def orders(self) -> tuple[int, ...]:
         return tuple(c.k for c in self.chords)
 
-    def validate(self) -> None:
-        check_disjoint(self.base, self.chords)
-
     @cached_property
     def _plan(self) -> tuple[Diagram, Callable[[frozenset], Diagram]]:
         """(K_full, member): the full band sum, glued and checked once, and
@@ -388,7 +386,7 @@ class SingularFamily:
         takes every rewrite before it is cut and a member swaps back the base
         records of the rewrites it leaves out.
         """
-        self.validate()
+        check_disjoint(self.base, self.chords)
         host, undo = self.base, {}
         for i, c in enumerate(self.chords):
             if c.kind != "insert":
@@ -453,6 +451,17 @@ def _face_slots(walk: Sequence[tuple[int, int]], skip: Iterable[int] = (),
     return slots
 
 
+def rewrite_chords(d: Diagram, k: int) -> list[Chord]:
+    """The order-k chords that rewrite d's own crossings: a switch of each
+    crossing for k = 2, in crossing order, and each triangle flip for k = 3,
+    in ``triangle_slide_sites`` order; none for other orders."""
+    if k == 2:
+        return [Chord(2, "switch", (ci,)) for ci in range(d.n_crossings)]
+    if k == 3:
+        return [Chord(3, "delta", s[1:]) for s in triangle_slide_sites(d, "delta")]
+    return []
+
+
 def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
     """Deterministic bounded enumeration of order-k chords on d.
 
@@ -461,11 +470,7 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
     """
     if k not in builtin_templates():
         raise ValueError("builtin templates exist for k in {2, 3, 4}")
-    chords: list[Chord] = []
-    if k == 2:
-        chords.extend(Chord(2, "switch", (ci,)) for ci in range(d.n_crossings))
-    if k == 3:
-        chords.extend(Chord(3, "delta", s[1:]) for s in triangle_slide_sites(d, "delta"))
+    chords = rewrite_chords(d, k)
     budget_left = cap
     for walk in d.face_walks():
         if budget_left <= 0:
@@ -557,9 +562,6 @@ def replay_tangle_script(template: MoveTemplate, script: Script) -> bool:
     """Check a realize_by_lower certificate: before + script ~ after."""
     if script == [("template", template.name)]:
         return True
-    cur: Fragment = template.before
-    for entry in script:
-        cur = apply_move(cur, entry)
     goal, _ = simplify_tangle(template.after)
-    final, _ = simplify_tangle(cur)
+    final, _ = simplify_tangle(replay(template.before, script))
     return tangle_key(final) == tangle_key(goal)

@@ -235,7 +235,7 @@ def test_parse_pd_errors():
     with pytest.raises(MalformedDiagram):
         parse_pd("garbage")
     # two disjoint kinks: two components
-    with pytest.raises(MalformedDiagram):
+    with pytest.raises(MalformedDiagram, match="diagram has 2 components"):
         parse_pd("X(1,1,2,2) X(3,3,4,4)")
 
 

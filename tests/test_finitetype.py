@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from knotmoves.diagram import MalformedDiagram
 from knotmoves.finitetype import (alternating_sum, delta_v2_witness, group_checks,
                                   random_family, move_invariance_report, verify_type)
 from knotmoves.gauss import v2, v3
@@ -158,7 +159,7 @@ def test_family_json_round_trip(left_trefoil):
     {"template_k": 5}, {"variant": "1"}, {"variant": True}, {"template_k": True},
     {"kind": "flip"}, {"kind": "switch"}, {"sites": [[1, 2]]}, {"sites": [[1, 2, 2]]},
     {"sites": [[1, 2, 0], [1, True, 0]]}, {"sites": [[1, 2, 0], [-1, 3, 0]]},
-    {"sites": "0"}])
+    {"sites": "0"}, {"variant": 2}, {"variant": -1}])
 def test_chord_json_rejects_malformed_fields(edit):
     good = {"template_k": 2, "kind": "insert", "variant": 1, "sites": [[1, 2, 0], [1, 3, 0]]}
     assert Chord.from_json(good) == Chord(2, "insert", ((1, 2, 0), (1, 3, 0)), 1)
@@ -174,6 +175,69 @@ def test_rewrite_chord_json_round_trip():
                 {"template_k": 3, "kind": "delta", "sites": [0, 1, 2]}):
         with pytest.raises(InvalidSite, match="malformed chord"):
             Chord.from_json(bad)
+
+
+def _two_branch_random_family(base, orders, rng, allow_switch=True):
+    """random_family as it was with one branch per rewrite kind (the reference)."""
+    from knotmoves.moves import InapplicableMove, triangle_slide_sites
+    from knotmoves.templates import random_insert_chord
+
+    chords = []
+    used_crossings, rewrite_edges, insert_edges = set(), set(), set()
+    for idx, k in enumerate(orders):
+        chord = None
+        if k == 2 and allow_switch and base.n_crossings and rng.random() < 0.5:
+            free = [ci for ci in range(base.n_crossings)
+                    if ci not in used_crossings
+                    and not (set(base.crossings[ci].ends) & insert_edges)]
+            if free:
+                chord = Chord(2, "switch", (free[rng.randrange(len(free))],))
+        if chord is None and k == 3 and base.n_crossings and rng.random() < 0.25:
+            deltas = []
+            for s in triangle_slide_sites(base, "delta"):
+                delta = Chord(3, "delta", s[1:])
+                edges, cis = delta.touched(base)
+                if not (cis & used_crossings or edges & insert_edges):
+                    deltas.append(delta)
+            if deltas:
+                chord = deltas[rng.randrange(len(deltas))]
+        if chord is None:
+            chord = random_insert_chord(base, k, rng, rewrite_edges, offset_base=4 * idx)
+        if chord is None:
+            return None
+        e, x = chord.touched(base)
+        if chord.kind == "insert":
+            insert_edges |= e
+        else:
+            used_crossings |= x
+            rewrite_edges |= e
+        chords.append(chord)
+    fam = SingularFamily(base, tuple(chords))
+    try:
+        fam._plan
+    except (InvalidSite, InapplicableMove, MalformedDiagram):
+        return None
+    return fam
+
+
+@pytest.mark.parametrize("allow_switch", [True, False])
+def test_random_family_matches_the_two_branch_reference(small_knots, allow_switch):
+    """One rewrite branch draws the same chords, and leaves the rng in the
+    same state, as one branch for switches and one for flips."""
+    from collections import Counter
+
+    seen: Counter = Counter()
+    for orders in ((2, 2, 2), (3, 2), (3, 2, 2), (2, 2, 2, 2), (4, 4, 3)):
+        for seed in range(5):
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            for name, base in sorted(small_knots.items()):
+                want = _two_branch_random_family(base, orders, want_rng, allow_switch)
+                got = random_family(base, orders, got_rng, allow_switch)
+                assert (got and got.chords) == (want and want.chords), (orders, seed, name)
+                assert got_rng.getstate() == want_rng.getstate()
+                seen.update([c.kind for c in got.chords] if got else ["none"])
+    assert seen["insert"] and seen["delta"] and seen["none"], seen
+    assert bool(seen["switch"]) == allow_switch, seen
 
 
 def test_families_on_larger_bases():
