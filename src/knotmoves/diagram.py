@@ -28,7 +28,7 @@ class MalformedDiagram(ValueError):
 
 
 class NotRealizable(ValueError):
-    """Raised when a DT code admits no planar realization."""
+    """Raised when a DT or PD code admits no planar realization."""
 
 
 class Crossing(NamedTuple):
@@ -439,7 +439,7 @@ def parse_pd(text: str) -> Diagram:
     """Parse ``X(a,b,c,d)`` tuples (ccw from the incoming under-strand).
 
     The empty string gives the 0-crossing unknot.  The basepoint is the
-    lowest-numbered edge.
+    lowest-numbered edge.  Codes that fail the Euler test raise NotRealizable.
     """
     stripped = text.strip()
     if not stripped:
@@ -456,7 +456,10 @@ def parse_pd(text: str) -> Diagram:
         raise MalformedDiagram(f"unexpected text in PD code: {stripped[pos:]!r}")
     if not crossings:
         raise MalformedDiagram("no X(a,b,c,d) tuples found")
-    return Diagram(crossings)
+    d = Diagram(crossings)
+    if not d.is_planar():
+        raise NotRealizable(f"PD code {text!r} has no planar realization")
+    return d
 
 
 def emit_pd(d: Diagram) -> str:

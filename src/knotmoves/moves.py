@@ -97,10 +97,6 @@ def _bigon_faces(frag: Fragment) -> list[list[int]]:
             if len(w) == 2 and w[1] != mate[w[0]] and w[0] >> 2 != mate[w[0]] >> 2]
 
 
-def _strand_slot(c: Crossing, edge: int) -> int:
-    return c.ends.index(edge)
-
-
 def r2_removal_sites(frag: Fragment) -> list[tuple]:
     mate, dart, _ = frag._slots
     sites = []
@@ -120,18 +116,11 @@ def r2_removal_sites(frag: Fragment) -> list[tuple]:
 
 
 def r2_remove(frag: Fragment, ci: int, cj: int, x: int, y: int) -> Fragment:
+    """Remove the bigon of the ``r2_removal_sites`` entry ("r2-", ci, cj, x, y)."""
     cx, cy = frag.crossings[ci], frag.crossings[cj]
-    if any(cr.ends.count(e) != 1 for cr in (cx, cy) for e in (x, y)):
-        raise InapplicableMove("bigon edges must pass each crossing once")
-    sx_i, sx_j = _strand_slot(cx, x), _strand_slot(cy, x)
-    sy_i, sy_j = _strand_slot(cx, y), _strand_slot(cy, y)
-    if (sy_i - sx_i) % 2 == 0 or (sy_j - sx_j) % 2 == 0:
-        raise InapplicableMove("edges do not form a two-strand bigon")
-    if (sx_i % 2) != (sx_j % 2):
-        raise InapplicableMove("bigon is clasped, not removable")
     joiner = _IdJoiner()
-    joiner.join(cx.ends[(sx_i + 2) % 4], cy.ends[(sx_j + 2) % 4])
-    joiner.join(cx.ends[(sy_i + 2) % 4], cy.ends[(sy_j + 2) % 4])
+    for e in (x, y):
+        joiner.join(cx.ends[(cx.ends.index(e) + 2) % 4], cy.ends[(cy.ends.index(e) + 2) % 4])
     rest = [c for i, c in enumerate(frag.crossings) if i not in (ci, cj)]
     return _finish(frag, rest, joiner)
 
@@ -212,6 +201,7 @@ def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
 
     Preserves every pairwise over/under relation; whether this is an R3
     isotopy or an order-3 move depends only on the pattern at the corners.
+    The site is an entry of ``triangle_slide_sites`` without its tag.
     """
     return _slid(frag, _slide_records(frag, c1, c2, c3, x12, x23, x31))
 
@@ -221,12 +211,9 @@ def _slide_records(frag: Fragment, c1: int, c2: int, c3: int,
     """The crossing records after ``triangle_slide``, with nothing built."""
     crossings = list(frag.crossings)
     ca, cb, cc = crossings[c1], crossings[c2], crossings[c3]
-    try:
-        p_x12, p_x31 = ca.ends.index(x12), ca.ends.index(x31)
-        q_x12, q_x23 = cb.ends.index(x12), cb.ends.index(x23)
-        r_x23, r_x31 = cc.ends.index(x23), cc.ends.index(x31)
-    except ValueError as exc:
-        raise InapplicableMove("triangle edges not incident as required") from exc
+    p_x12, p_x31 = ca.ends.index(x12), ca.ends.index(x31)
+    q_x12, q_x23 = cb.ends.index(x12), cb.ends.index(x23)
+    r_x23, r_x31 = cc.ends.index(x23), cc.ends.index(x31)
     a1 = ca.ends[(p_x12 + 2) % 4]
     co1 = ca.ends[(p_x31 + 2) % 4]
     a2 = cb.ends[(q_x12 + 2) % 4]
@@ -260,38 +247,44 @@ def _slid(frag: Fragment, crossings: tuple[Crossing, ...]) -> Fragment:
 
 # -- scripts ------------------------------------------------------------------
 
-# The field types after the tag of each script entry.  Only the R2 over
-# flag is a bool: JSON true and 1.0 equal 1 but are no index or edge id.
-_TYPES = {"r1-": (int,), "r1+": (int, int), "r2-": (int,) * 4,
-          "r2+": (int,) * 4 + (bool,), "r3": (int,) * 6, "delta": (int,) * 6,
-          "switch": (int,)}
-# How many leading fields of each script entry are crossing indices.
-_CROSSING_FIELDS = {"r1-": 1, "r2-": 2, "r3": 3, "delta": 3, "switch": 1}
+# Each script entry's field types after the tag, and where it applies.  Only
+# the R2 over flag is a bool: JSON true and 1.0 equal 1 but are no index or
+# edge id.  The site finders are the one definition of where a move applies:
+# an R2 removal or a triangle slide applies only as an entry its finder lists,
+# which also checks an r3/delta label against the corner pattern, and an R2
+# push only on two darts of one face walk, the pairs ``r2_add_sites`` lists.
+# An R1 removal (``r1_remove`` tests the kink) or a switch needs its crossing,
+# and an R1 addition applies on any edge.
+_MOVES = {
+    "r1-": ((int,), lambda frag, ci: 0 <= ci < frag.n_crossings),
+    "r1+": ((int, int), lambda frag, e, chirality: True),
+    "r2-": ((int,) * 4, lambda frag, *site: ("r2-", *site) in r2_removal_sites(frag)),
+    "r2+": ((int,) * 4 + (bool,), lambda frag, e, de, f, df, over: any(
+        (e, de) in walk and (f, df) in walk for walk in frag.face_walks())),
+    "r3": ((int,) * 6, lambda frag, *site: ("r3", *site) in triangle_slide_sites(frag, "r3")),
+    "delta": ((int,) * 6,
+              lambda frag, *site: ("delta", *site) in triangle_slide_sites(frag, "delta")),
+    "switch": ((int,), lambda frag, ci: 0 <= ci < frag.n_crossings),
+}
 
 
 def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
-    """Apply one script entry ``(op, *fields)``: the dispatcher for every move."""
+    """Apply one script entry ``(op, *fields)`` where ``_MOVES`` says it
+    applies: the dispatcher for every move."""
     op, fields = entry[0], entry[1:]
-    if op not in _TYPES:
+    if op not in _MOVES:
         raise InapplicableMove(f"unknown move {op!r}")
-    if tuple(map(type, fields)) != _TYPES[op]:
+    types, applies = _MOVES[op]
+    if tuple(map(type, fields)) != types:
         raise InapplicableMove(f"bad fields for {op}: {list(fields)!r}")
-    for ci in fields[:_CROSSING_FIELDS.get(op, 0)]:
-        if not 0 <= ci < frag.n_crossings:
-            raise InapplicableMove(f"no crossing {ci}")
-    if op == "r1-":
-        return r1_remove(frag, entry[1])
-    if op == "r1+":
-        return r1_add(frag, entry[1], entry[2])
-    if op == "r2-":
-        return r2_remove(frag, *entry[1:])
-    if op == "r2+":
-        return r2_add(frag, *entry[1:])
-    if op in ("r3", "delta"):
-        return triangle_slide(frag, *entry[1:])
-    crossings = list(frag.crossings)  # a switch
-    crossings[entry[1]] = crossings[entry[1]].mirrored()
-    return _rebuild(frag, crossings)
+    if not applies(frag, *fields):
+        raise InapplicableMove(f"no {op} site at {list(fields)!r}")
+    if op == "switch":
+        crossings = list(frag.crossings)
+        crossings[fields[0]] = crossings[fields[0]].mirrored()
+        return _rebuild(frag, crossings)
+    move = {"r1-": r1_remove, "r1+": r1_add, "r2-": r2_remove, "r2+": r2_add}.get(op, triangle_slide)
+    return move(frag, *fields)
 
 
 def replay(frag: Fragment, script: Sequence[Sequence]) -> Fragment:
@@ -429,8 +422,9 @@ def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
             sites = r2_removal_sites(frag)
         if not sites:
             return frag, script
+        # A listed site needs no check: apply it directly.
         entry = sites[0]
-        frag = apply_move(frag, entry)
+        frag = (r1_remove if entry[0] == "r1-" else r2_remove)(frag, *entry[1:])
         script.append(entry)
 
 

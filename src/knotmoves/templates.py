@@ -319,16 +319,12 @@ def apply_chord(d: Diagram, chord: Chord) -> Diagram:
     """Apply one chord; the diagram is changed only at the chord's sites."""
     if chord.kind == "insert":
         return _glue_many(d, [chord])({0}, {})
-    chord.touched(d)  # unknown kinds and crossings out of range
-    if chord.kind == "delta":
-        c1, c2, _, x12 = chord.sites[:4]
-        ends1, ends2 = d.crossings[c1].ends, d.crossings[c2].ends
-        if x12 not in ends1 or x12 not in ends2:
-            raise InvalidSite("stale triangle site")
-        if ends1.index(x12) % 2 == ends2.index(x12) % 2:
-            raise InvalidSite("triangle pattern is coherent: an isotopy, "
-                              "not an order-3 move")
-    out = apply_move(d, (chord.kind, *chord.sites))
+    if chord.kind not in ("switch", "delta"):
+        raise InvalidSite(f"unknown chord kind {chord.kind!r}")
+    try:  # a delta chord applies only where triangle_slide_sites lists a flip
+        out = apply_move(d, (chord.kind, *chord.sites))
+    except InapplicableMove as exc:
+        raise InvalidSite(str(exc)) from None
     out.validate()
     return out  # type: ignore[return-value]
 
@@ -486,7 +482,6 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
 
 def random_insert_chord(d: Diagram, k: int, rng: random.Random,
                         used_edges: set[int] | None = None,
-                        variant: int | None = None,
                         offset_base: int = 0) -> Chord | None:
     """Seeded single-chord sampler; returns None if no room is found.
 
@@ -514,8 +509,7 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
         if len(slots) < k:
             continue
         picks = sorted(rng.sample(range(len(slots)), k))
-        v = rng.randrange(2) if variant is None else variant
-        return Chord(k, "insert", tuple(slots[i] for i in picks), v)
+        return Chord(k, "insert", tuple(slots[i] for i in picks), rng.randrange(2))
     return None
 
 

@@ -77,6 +77,19 @@ def test_invariants_all_failures_exit_2(tmp_path):
     assert code == 2
 
 
+def test_invariants_rejects_a_nonplanar_pd_code(tmp_path):
+    # It used to parse, and the Jones step then died on a half-integer exponent.
+    p = tmp_path / "bad.tsv"
+    p.write_text("np\tX(14,2,1,1) X(12,2,13,3) X(4,4,5,3) X(5,7,6,6) X(10,8,11,7) "
+                 "X(9,8,10,9) X(13,11,14,12)\n")
+    code, records, err = run("invariants", str(p))
+    assert code == 2
+    [rec] = strip_header(records)
+    assert rec["record"] == "error" and rec["name"] == "np"
+    assert "no planar realization" in rec["error"]
+    assert "Traceback" not in err
+
+
 def test_family_command():
     code, records, _ = run("family", "--base", "", "--orders", "2,2,2",
                            "--seed", "9")
@@ -307,7 +320,14 @@ def test_invariants_unusable_cache_path_exit_2(corpus_file, tmp_path, where):
     ("4 6 2", [["r2+", 1, False, 4, 1, True]]),
     ("4 6 2", [["r2+", 1, 2, 4, 1, True]]),
     ("4 6 2", [["r2+", 1, 0, 4, 1, 1]]),
-], ids=[f"script{i}" for i in range(12)])
+    # Each names a site its finder would not list: a triangle flip labelled
+    # as R3, a slide on edges 3, 4, 5, which bound no face (the listed
+    # triangle is 3, 9, 5), and a push across two faces.
+    ("4 6 2", [["r3", 0, 1, 2, 3, 5, 1]]),
+    ("X(6,1,7,2) X(5,3,6,2) X(3,9,4,8) X(9,5,10,4) X(7,1,8,12) X(10,12,11,11)",
+     [["r3", 1, 2, 3, 3, 4, 5]]),
+    ("4 6 2", [["r2+", 1, 0, 3, 0, True]]),
+], ids=[f"script{i}" for i in range(15)])
 def test_path_replay_entry_that_cannot_apply(tmp_path, diagram, script):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))

@@ -227,6 +227,10 @@ def test_kink_parses():
     assert d.is_planar()
 
 
+NONPLANAR_PD = ("X(14,2,1,1) X(12,2,13,3) X(4,4,5,3) X(5,7,6,6) X(10,8,11,7) "
+                "X(9,8,10,9) X(13,11,14,12)")
+
+
 def test_parse_pd_errors():
     with pytest.raises(MalformedDiagram):
         parse_pd("X(1,2,3)")
@@ -237,6 +241,9 @@ def test_parse_pd_errors():
     # two disjoint kinks: two components
     with pytest.raises(MalformedDiagram, match="diagram has 2 components"):
         parse_pd("X(1,1,2,2) X(3,3,4,4)")
+    # one component, every edge twice, but 7 crossings with 7 faces, not 9
+    with pytest.raises(NotRealizable, match="no planar realization"):
+        parse_pd(NONPLANAR_PD)
 
 
 def test_trefoil_structure(left_trefoil):

@@ -131,6 +131,60 @@ def test_delta_slide_self_inverse(left_trefoil):
     assert twice.canonical_key == left_trefoil.canonical_key
 
 
+def _applied(d, entry):
+    """The result of ``apply_move``, or None where it refuses the entry."""
+    try:
+        return apply_move(d, entry)
+    except InapplicableMove:
+        return None
+
+
+def test_apply_move_takes_exactly_the_sites_its_finders_list(small_knots):
+    """On the corpus up to 6 crossings and R-perturbed copies: an r3 or delta
+    entry on three pairwise-adjacent crossings, for every choice of shared
+    edges, applies iff ``triangle_slide_sites`` lists it; an R2 push on any
+    two darts applies iff they lie on one face walk (of distinct edges); and
+    every result that applies is planar."""
+    from itertools import permutations
+
+    hosts = [d for d in small_knots.values() if 0 < d.n_crossings <= 6]
+    hosts += [random_perturb(d, 6, seed=seed) for d in hosts for seed in (1, 2)]
+    counts = {"slides": 0, "listed": 0, "pushes": 0, "cofacial": 0}
+    for d in hosts:
+        at: dict[int, list[int]] = {}
+        for ci, c in enumerate(d.crossings):
+            for e in c.ends:
+                at.setdefault(e, []).append(ci)
+        shared: dict[tuple[int, int], list[int]] = {}
+        for e, (ci, cj) in at.items():
+            if ci != cj:
+                shared.setdefault((ci, cj), []).append(e)
+                shared.setdefault((cj, ci), []).append(e)
+        for c1, c2, c3 in permutations(range(d.n_crossings), 3):
+            for x12 in shared.get((c1, c2), ()):
+                for x23 in shared.get((c2, c3), ()):
+                    for x31 in shared.get((c3, c1), ()):
+                        for op in ("r3", "delta"):
+                            entry = (op, c1, c2, c3, x12, x23, x31)
+                            listed = entry in triangle_slide_sites(d, op)
+                            out = _applied(d, entry)
+                            assert (out is not None) == listed, entry
+                            assert out is None or out.is_planar(), entry
+                            counts["slides"] += 1
+                            counts["listed"] += listed
+        face = {dart: i for i, walk in enumerate(d.face_walks()) for dart in walk}
+        for (e, de), (f, df) in permutations(face, 2):
+            cofacial = e != f and face[(e, de)] == face[(f, df)]
+            for over in (True, False):
+                out = _applied(d, ("r2+", e, de, f, df, over))
+                assert (out is not None) == cofacial, (e, de, f, df, over)
+                assert out is None or out.is_planar(), (e, de, f, df, over)
+                counts["pushes"] += 1
+                counts["cofacial"] += cofacial
+    assert min(counts["listed"], counts["slides"] - counts["listed"]) > 100, counts
+    assert min(counts["cofacial"], counts["pushes"] - counts["cofacial"]) > 1000, counts
+
+
 from hypothesis import given, settings, strategies as st
 
 

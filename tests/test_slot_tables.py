@@ -20,8 +20,8 @@ from knotmoves.corpus import corpus
 from knotmoves.diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram
 from knotmoves.finitetype import random_family
 from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _rebuild,
-                             _strand_slot, r1_add, r2_add, r2_add_sites, r2_removal_sites,
-                             random_perturb, triangle_faces)
+                             r1_add, r2_add, r2_add_sites, r2_removal_sites, random_perturb,
+                             triangle_faces)
 from knotmoves.tangles import Builder, Tangle, clasp_word
 from knotmoves.templates import Chord, InvalidSite, apply_chord, builtin_templates, family
 
@@ -231,8 +231,8 @@ def reference_r2_removal_sites(frag: Fragment) -> list[tuple]:
         cx, cy = frag.crossings[ci], frag.crossings[cj]
         if any(cr.ends.count(e) != 1 for cr in (cx, cy) for e in (x, y)):
             continue
-        sx_i, sx_j = _strand_slot(cx, x), _strand_slot(cy, x)
-        sy_i, sy_j = _strand_slot(cx, y), _strand_slot(cy, y)
+        sx_i, sx_j = cx.ends.index(x), cy.ends.index(x)
+        sy_i, sy_j = cx.ends.index(y), cy.ends.index(y)
         if (sy_i - sx_i) % 2 == 0 or (sy_j - sx_j) % 2 == 0:
             continue  # bigon arcs on one strand: not an R2 pattern
         if (sx_i % 2) == (sx_j % 2):
@@ -298,8 +298,8 @@ def reference_classify_slide(frag: Fragment, walk: list[Dart], moving: int):
     _, c2, _ = reference_arrival(frag, darts[1])
     _, c3, _ = reference_arrival(frag, darts[2])
     x31, x23 = darts[0][0], darts[2][0]
-    s1 = _strand_slot(frag.crossings[c1], x12)
-    s2 = _strand_slot(frag.crossings[c2], x12)
+    s1 = frag.crossings[c1].ends.index(x12)
+    s2 = frag.crossings[c2].ends.index(x12)
     coherent = (s1 % 2) == (s2 % 2)
     return ("r3" if coherent else "delta", c1, c2, c3, x12, x23, x31)
 

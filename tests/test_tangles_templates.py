@@ -200,10 +200,9 @@ def test_sampler_draws_match_the_trial_glue_reference(knots):
             for _ in range(4):
                 used = set(pick.sample(edges, pick.randrange(len(edges) + 1)))
                 offset_base = pick.randrange(13)
-                variant = pick.choice((None, 0, 1))
                 want_rng, got_rng = random.Random(h * 31 + k), random.Random(h * 31 + k)
-                want = _trial_glue_sampler(host, k, want_rng, used, variant, offset_base)
-                got = random_insert_chord(host, k, got_rng, used, variant, offset_base)
+                want = _trial_glue_sampler(host, k, want_rng, used, offset_base=offset_base)
+                got = random_insert_chord(host, k, got_rng, used, offset_base)
                 assert got == want and got_rng.getstate() == want_rng.getstate()
                 seen["used_edges"] += bool(used)
                 if got is None:
