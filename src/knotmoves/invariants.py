@@ -8,8 +8,6 @@ Conway polynomial from an Alexander-matrix determinant).
 
 from __future__ import annotations
 
-import math
-
 from .diagram import Crossing, Diagram
 from .poly import LaurentPolynomial
 
@@ -152,47 +150,36 @@ def _det(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def _interpolate(values: list[int]) -> list[int]:
-    """Integer coefficients, low to high, of the polynomial p with p(t) = values[t].
-
-    Newton form: the k-th forward difference at 0 is k! times an integer
-    when p has integer coefficients, so every division is exact.
-    """
-    newton = []
-    diffs = list(values)
-    while diffs:
-        newton.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        c, rem = divmod(newton[k], math.factorial(k))
-        if rem:
-            raise AssertionError("Alexander minor is not an integer polynomial")
-        # coeffs * (t - k) + c
-        nxt = [0] + coeffs
-        for i, a in enumerate(coeffs):
-            nxt[i] -= k * a
-        nxt[0] += c
-        coeffs = nxt
-    return coeffs
+def _digits(value: int, bits: int) -> list[int]:
+    """Signed base-2^bits digits of value, low first, in [-2^(bits-1), 2^(bits-1)); none for 0."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
 
 
 def conway(d: Diagram) -> LaurentPolynomial:
     """Conway polynomial in z, from the Alexander polynomial.
 
-    Any (n-1)-minor of the Alexander matrix is Delta(t) up to a unit
-    +-t^k.  It is evaluated at t = 0..n-1 and interpolated exactly, then
+    Any (n-1)-minor of the Alexander matrix is Delta(t) up to a unit +-t^k.
+    The absolute values of the t-coefficients in one row add up to at most 4,
+    so each coefficient of the minor is at most 4^(n-1) < 2^(2n-1) in
+    absolute value: one signed base-2^(2n) digit of the minor at t = 2^(2n),
+    so one determinant gives them all (Kronecker substitution).  Delta is
     normalized so that Delta(t) = Delta(1/t) and Delta(1) = 1, and rewritten
     through t^k + t^-k = s_k(z), where s_0 = 2, s_1 = z^2 + 2 and
     s_{k+1} = (z^2 + 2) s_k - s_{k-1}.
     """
     if not d.crossings:
         return LaurentPolynomial.one()
-    values = []
-    for t in range(d.n_crossings):
-        minor = [row[:-1] for row in _alexander_rows(d, t)[:-1]]
-        values.append(_det(minor))
-    coeffs = _interpolate(values)
+    bits = 2 * d.n_crossings
+    minor = [row[:-1] for row in _alexander_rows(d, 1 << bits)[:-1]]
+    coeffs = _digits(_det(minor), bits)
     nonzero = [i for i, c in enumerate(coeffs) if c]
     coeffs = coeffs[nonzero[0]:nonzero[-1] + 1] if nonzero else []
     if sum(coeffs) not in (1, -1) or len(coeffs) % 2 == 0 or coeffs != coeffs[::-1]:

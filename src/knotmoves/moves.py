@@ -279,6 +279,11 @@ def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
         raise InapplicableMove(f"bad fields for {op}: {list(fields)!r}")
     if not applies(frag, *fields):
         raise InapplicableMove(f"no {op} site at {list(fields)!r}")
+    return _apply(frag, op, fields)
+
+
+def _apply(frag: Fragment, op: str, fields: Sequence) -> Fragment:
+    """Apply a move at a site known to be one, with no check."""
     if op == "switch":
         crossings = list(frag.crossings)
         crossings[fields[0]] = crossings[fields[0]].mirrored()
@@ -466,9 +471,7 @@ def random_perturb(d: Diagram, steps: int, seed: int, max_extra: int = 6) -> Dia
             candidates = [("r1+", 0, 1), ("r1+", 0, -1)]
         if not candidates:
             break
+        # A listed site needs no check: apply it directly.
         entry = candidates[rng.randrange(len(candidates))]
-        try:
-            d = apply_move(d, entry)  # type: ignore[assignment]
-        except (InapplicableMove, MalformedDiagram):
-            continue
+        d = _apply(d, entry[0], entry[1:])  # type: ignore[assignment]
     return d

@@ -12,11 +12,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from knotmoves.diagram import Diagram
-from knotmoves.finitetype import random_family
 from knotmoves.gauss import Arrow, GaussDiagram, _chords, _v2_count, _v3_count, to_gauss, v2, v3
 from knotmoves.invariants import v2_conway, v2_jones, v3_jones
 from knotmoves.moves import random_perturb
-from knotmoves.templates import apply_chord, family, random_insert_chord
+from knotmoves.templates import apply_chord, random_insert_chord
 
 
 # The pattern-string census that first defined v2 and v3: every arrow pair
@@ -226,17 +225,11 @@ def test_v2_v3_golden(knots):
         "62e1d652ad2ceb5d46688a3a744dc2d28542ce238bdb6260a43d9815d2e53542"
 
 
-def test_v2_equals_conway_on_large_family_members(knots):
+def test_v2_equals_conway_on_large_family_members(large_family_members):
     # The Gauss and Conway routes are independent; compare them well above
     # corpus size, on members of seeded (3, 2, 2) families.
-    rng = random.Random(31)
     sizes = []
-    for name, d in sorted(knots.items()):
-        fam = random_family(d, (3, 2, 2), rng)
-        if fam is None:
-            continue
-        for subset, member in family(fam).items():
-            if member.n_crossings >= 30:
-                sizes.append(member.n_crossings)
-                assert v2(member) == v2_conway(member), (name, sorted(subset))
+    for name, subset, member in large_family_members:
+        sizes.append(member.n_crossings)
+        assert v2(member) == v2_conway(member), (name, sorted(subset))
     assert len(sizes) == 58 and min(sizes) == 30 and max(sizes) == 37

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from knotmoves import gauss
 from knotmoves.diagram import Diagram, Fragment, _IdJoiner, parse_dt
 from knotmoves.finitetype import random_family
-from knotmoves.invariants import (CrossingLimitExceeded, _v2_from_jones, _v3_from_jones,
-                                  conway, jones, kauffman_bracket, v2_conway, v2_jones,
-                                  v3_jones, vassiliev_report)
+from knotmoves.invariants import (CrossingLimitExceeded, _alexander_rows, _det, _digits,
+                                  _v2_from_jones, _v3_from_jones, conway, jones,
+                                  kauffman_bracket, v2_conway, v2_jones, v3_jones,
+                                  vassiliev_report)
 from knotmoves.moves import r1_add, random_perturb, replay
 from knotmoves.poly import LaurentPolynomial as L
 from knotmoves.tangles import tangle_key
@@ -184,6 +186,106 @@ def test_conway_golden_perturbed(knots):
             sizes.append(p.n_crossings)
             assert conway(p).to_pairs() == GOLDEN_CONWAY[name], (name, seed)
     assert len(sizes) == 35 and sizes.count(17) == 12
+
+
+# The n-point route that Kronecker substitution replaced, kept as the
+# reference: the minor at t = 0..n-1, Newton interpolation with exact
+# divisions, and the same normalization to Conway form.
+def _interpolate(values: list[int]) -> list[int]:
+    """Integer coefficients, low to high, of the polynomial p with p(t) = values[t]."""
+    newton = []
+    diffs = list(values)
+    while diffs:
+        newton.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        c, rem = divmod(newton[k], math.factorial(k))
+        assert not rem, "Alexander minor is not an integer polynomial"
+        nxt = [0] + coeffs  # coeffs * (t - k) + c
+        for i, a in enumerate(coeffs):
+            nxt[i] -= k * a
+        nxt[0] += c
+        coeffs = nxt
+    return coeffs
+
+
+def _conway_by_interpolation(d: Diagram) -> L:
+    if not d.crossings:
+        return L.one()
+    values = [_det([row[:-1] for row in _alexander_rows(d, t)[:-1]])
+              for t in range(d.n_crossings)]
+    coeffs = _interpolate(values)
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    coeffs = coeffs[nonzero[0]:nonzero[-1] + 1]
+    sign = sum(coeffs)
+    assert sign in (1, -1) and len(coeffs) % 2 and coeffs == coeffs[::-1]
+    coeffs = [sign * c for c in coeffs]
+    mid = len(coeffs) // 2
+    z2_plus_2 = L({0: 2, 2: 1})
+    prev, cur = L({0: 2}), z2_plus_2
+    nabla = L({0: coeffs[mid]})
+    for k in range(1, mid + 1):
+        nabla = nabla + coeffs[mid + k] * cur
+        prev, cur = cur, z2_plus_2 * cur - prev
+    return nabla
+
+
+def test_conway_matches_interpolation_reference(knots, large_family_members):
+    diagrams = []
+    for i, name in enumerate(sorted(knots)):
+        d = knots[name]
+        diagrams += [d, random_perturb(d, 12, seed=i), random_perturb(d, 12, seed=200 + i)]
+    diagrams += [m for _, _, m in large_family_members]
+    # Six 5_2 summands: Alexander coefficients up to 24,689, where the others
+    # stay small, so a digit width far too narrow shows here.
+    sum6 = knots["5_2"]
+    for _ in range(5):
+        sum6 = sum6.connected_sum(knots["5_2"])
+    diagrams.append(sum6)
+    for d in diagrams:
+        assert conway(d) == _conway_by_interpolation(d), d.crossings
+    assert len(diagrams) == 3 * len(knots) + 59
+
+
+def test_alexander_rows_obey_the_digit_bound(knots, large_family_members):
+    """Each row is a + b t entrywise with sum(|a| + |b|) <= 4: the bound that
+    keeps every coefficient of the minor inside one base-2^(2n) digit."""
+    diagrams = [d for d in knots.values() if d.crossings]
+    diagrams += [m for _, _, m in large_family_members]
+    widest = 0
+    for d in diagrams:
+        for row0, row1 in zip(_alexander_rows(d, 0), _alexander_rows(d, 1)):
+            width = sum(abs(a) + abs(b - a) for a, b in zip(row0, row1))
+            assert width <= 4, d.crossings
+            widest = max(widest, width)
+    assert widest == 4
+
+
+def test_digits_round_trip():
+    rng = random.Random(19)
+    for bits in (2, 3, 8, 64, 190):
+        top = (1 << (bits - 1)) - 1
+        cases = [[1], [-1], [top], [-top], [0, 0, top, -top], [-top, 0, -1]]
+        for _ in range(200):
+            middle = [rng.choice((top, -top, 0, rng.randint(-top, top)))
+                      for _ in range(rng.randrange(8))]
+            last = rng.choice((top, -top, -1, rng.randint(-top, -1), rng.randint(1, top)))
+            cases.append([0] * rng.randrange(3) + middle + [last])
+        for coeffs in cases:
+            value = sum(c << (bits * i) for i, c in enumerate(coeffs))
+            assert _digits(value, bits) == coeffs, (bits, coeffs)
+        assert _digits(0, bits) == []
+
+
+@pytest.mark.parametrize("chiralities", [(1,), (-1,), (1, 1), (1, -1), (-1, -1)])
+def test_conway_on_minors_of_size_zero_and_one(unknot, chiralities):
+    d = unknot
+    for chirality in chiralities:
+        d = r1_add(d, max(d.edges(), default=0), chirality)
+    # n crossings give an (n - 1) x (n - 1) Alexander minor: 0 x 0 or 1 x 1 here.
+    assert d.n_crossings == len(chiralities)
+    assert conway(d) == L.one()
 
 
 def _smooth_unoriented(frag: Fragment, ci: int, mode: str) -> Fragment:
