@@ -203,7 +203,7 @@ def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
     isotopy or an order-3 move depends only on the pattern at the corners.
     The site is an entry of ``triangle_slide_sites`` without its tag.
     """
-    return _slid(frag, _slide_records(frag, c1, c2, c3, x12, x23, x31))
+    return _built(frag, _slide_records(frag, c1, c2, c3, x12, x23, x31))
 
 
 def _slide_records(frag: Fragment, c1: int, c2: int, c3: int,
@@ -238,8 +238,13 @@ def _slide_records(frag: Fragment, c1: int, c2: int, c3: int,
     return tuple(crossings)
 
 
-def _slid(frag: Fragment, crossings: tuple[Crossing, ...]) -> Fragment:
-    """Build the slid fragment from its records and check its edge pairing."""
+def _switched(frag: Fragment, ci: int) -> tuple[Crossing, ...]:
+    """The crossing records after switching crossing ci."""
+    return frag.crossings[:ci] + (frag.crossings[ci].mirrored(),) + frag.crossings[ci + 1:]
+
+
+def _built(frag: Fragment, crossings: tuple[Crossing, ...]) -> Fragment:
+    """Build frag with new crossing records and check its edge pairing."""
     out = _rebuild(frag, crossings)
     out.check_edge_pairing()
     return out
@@ -270,7 +275,7 @@ _MOVES = {
 
 def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
     """Apply one script entry ``(op, *fields)`` where ``_MOVES`` says it
-    applies: the dispatcher for every move."""
+    applies: the check for every entry of a replayed script."""
     op, fields = entry[0], entry[1:]
     if op not in _MOVES:
         raise InapplicableMove(f"unknown move {op!r}")
@@ -285,9 +290,7 @@ def apply_move(frag: Fragment, entry: Sequence) -> Fragment:
 def _apply(frag: Fragment, op: str, fields: Sequence) -> Fragment:
     """Apply a move at a site known to be one, with no check."""
     if op == "switch":
-        crossings = list(frag.crossings)
-        crossings[fields[0]] = crossings[fields[0]].mirrored()
-        return _rebuild(frag, crossings)
+        return _rebuild(frag, _switched(frag, *fields))
     move = {"r1-": r1_remove, "r1+": r1_add, "r2-": r2_remove, "r2+": r2_add}.get(op, triangle_slide)
     return move(frag, *fields)
 
@@ -305,24 +308,22 @@ class _Explorer:
 
     Iterating yields ``(fragment, key, script)`` for every state whose key
     is new, the start first; ``expansions`` is the running count of steps
-    tried.  ``steps(fragment)`` yields steps, tuples of move entries; each
-    counts as one expansion whether or not it applies, and the walk
-    stops once the frontier is empty or ``budget`` expansions are spent.
-    ``reduce(raw)`` returns ``(fragment, extra_script)`` or ``None`` to
-    reject the neighbour.  The frontier is one heap, ranked by arrival
-    (FIFO), or by ``(score(fragment), n_crossings, arrival)`` when ``score``
-    is given.  A state is pushed after it is yielded, so a caller that
-    stops at its goal never pays for scoring it.
+    tried.  ``steps(fragment)`` yields ``(entries, base, records)``: a
+    step's script entries, the fragment its last entry (a rewrite or slide,
+    which keeps legs and free loops) applies to, and the crossing records
+    after it.  Each step is one expansion; the walk stops once the frontier
+    is empty or ``budget`` expansions are spent.  ``reduce(raw)`` returns
+    ``(fragment, extra_script)`` or ``None`` to reject the neighbour.  The
+    frontier is one heap, ranked by arrival (FIFO), or by ``(score(fragment),
+    n_crossings, arrival)`` when ``score`` is given.  A state is pushed after
+    it is yielded, so a caller that stops at its goal never pays for scoring it.
 
-    A neighbour whose exact state (crossing records, legs and free loops,
-    before ``reduce``) was already reached is skipped before ``reduce`` and
-    the key.  Reduction is deterministic in that state, so the first visit
-    already either rejected it or put its key into ``seen``: a repeat could
-    only be discarded, and since its expansion is counted first, scripts,
-    keys and expansion counts are the same as without the skip.  When a
-    step ends in a triangle slide, the test runs on the slid records,
-    before the fragment and its slot tables are built; every kept state is
-    still built and checked as ``triangle_slide`` does it.
+    A neighbour whose exact state (records, legs and free loops) was already
+    reached is skipped before it is built by ``_built``, reduced and keyed.
+    Reduction is deterministic in that state, so the first visit already
+    either rejected it or put its key into ``seen``: a repeat could only be
+    discarded, and since its expansion is counted first, scripts, keys and
+    expansion counts are the same as without the skip.
     """
 
     def __init__(self, start: Fragment, script: Script,
@@ -352,25 +353,16 @@ class _Explorer:
         push(self.start, self.script)
         while frontier and self.expansions < budget:
             _, cur, script = heapq.heappop(frontier)
-            for step in self.steps(cur):
+            for entries, base, records in self.steps(cur):
                 self.expansions += 1
                 if self.expansions > budget:
                     break
-                *prep, last = step
-                slide = last[0] in ("r3", "delta")
+                state = (records, base.legs, base.free_loops)
+                if state in reached:
+                    continue
                 try:
-                    nxt = replay(cur, prep)
-                    if slide:
-                        records = _slide_records(nxt, *last[1:])
-                    else:
-                        nxt = apply_move(nxt, last)
-                        records = nxt.crossings
-                    state = (records, nxt.legs, nxt.free_loops)
-                    if state in reached:
-                        continue
-                    if slide:
-                        nxt = _slid(nxt, records)
-                except (InapplicableMove, MalformedDiagram):
+                    nxt = _built(base, records)
+                except MalformedDiagram:
                     continue
                 reached.add(state)
                 reduced = self.reduce(nxt)
@@ -381,35 +373,47 @@ class _Explorer:
                 if key in seen:
                     continue
                 seen.add(key)
-                nscript = script + list(step) + extra
+                nscript = script + list(entries) + extra
                 yield nxt, key, nscript
                 push(nxt, nscript)
 
 
-def _switch_steps(frag: Fragment):
-    return ((("switch", ci),) for ci in range(frag.n_crossings))
+def _rewrites(frag: Fragment, k: int) -> list[tuple]:
+    """The order-k rewrite entries on frag's own crossings: a switch of each
+    crossing for k = 2, in crossing order, and each triangle flip for k = 3,
+    in ``triangle_slide_sites`` order; none for other orders."""
+    if k == 2:
+        return [("switch", ci) for ci in range(frag.n_crossings)]
+    return triangle_slide_sites(frag, "delta") if k == 3 else []
 
 
-def _r3_steps(frag: Fragment):
-    return ((site,) for site in triangle_slide_sites(frag, "r3"))
+def _step(base: Fragment, *entries: tuple) -> tuple:
+    """The explorer step of entries whose last, a rewrite or slide, applies to base."""
+    op, *fields = entries[-1]
+    return entries, base, (_switched if op == "switch" else _slide_records)(base, *fields)
 
 
-def _delta_steps(frag: Fragment):
-    """Triangle flips, then each R2 push followed by every flip of the pushed diagram.
+def _rewrite_steps(frag: Fragment, k: int):
+    """Order-k rewrites, then for k = 3 each R2 push followed by every flip
+    of the pushed diagram.
 
     Most of those flips lie away from the push, so greedy reduction strips
     the push again and reaches a start seen before; expansion counts pin
     this order, so the repeats stay.
     """
-    for site in triangle_slide_sites(frag, "delta"):
-        yield (site,)
-    for prep in r2_add_sites(frag):
+    for entry in _rewrites(frag, k):
+        yield _step(frag, entry)
+    for prep in r2_add_sites(frag) if k == 3 else ():
         try:
-            prepped = r2_add(frag, *prep[1:])
+            pushed = r2_add(frag, *prep[1:])
         except (InapplicableMove, MalformedDiagram):
             continue
-        for site in triangle_slide_sites(prepped, "delta"):
-            yield (prep, site)
+        for entry in _rewrites(pushed, 3):
+            yield _step(pushed, prep, entry)
+
+
+def _r3_steps(frag: Fragment):
+    return (_step(frag, site) for site in triangle_slide_sites(frag, "r3"))
 
 
 def _canonical_key(d: Diagram) -> str:
@@ -428,9 +432,8 @@ def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
         if not sites:
             return frag, script
         # A listed site needs no check: apply it directly.
-        entry = sites[0]
-        frag = (r1_remove if entry[0] == "r1-" else r2_remove)(frag, *entry[1:])
-        script.append(entry)
+        frag = _apply(frag, sites[0][0], sites[0][1:])
+        script.append(sites[0])
 
 
 def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
@@ -461,7 +464,7 @@ def random_perturb(d: Diagram, steps: int, seed: int, max_extra: int = 6) -> Dia
         candidates: list[tuple] = []
         candidates.extend(r1_removal_sites(d))
         candidates.extend(r2_removal_sites(d))
-        candidates.extend(("r3",) + s[1:] for s in triangle_slide_sites(d, "r3"))
+        candidates.extend(triangle_slide_sites(d, "r3"))
         if d.n_crossings < base + max_extra:
             for e in d.edges():
                 candidates.append(("r1+", e, 1))

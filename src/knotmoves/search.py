@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 from . import gauss
 from .diagram import Diagram
-from .moves import (Script, _canonical_key, _delta_steps, _Explorer, _switch_steps,
-                    greedy_reduce, replay, simplify)
+from .moves import (Script, _canonical_key, _Explorer, _rewrite_steps, greedy_reduce, replay,
+                    simplify)
 
 DEFAULT_BUDGET = 4000
 MOVE_KINDS = frozenset({"B2", "B3", "B4"})
@@ -99,12 +99,11 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     if bad:
         raise ValueError(f"unsupported move kinds: {sorted(bad)}")
     goal = simplify(d2, R3_BUDGET)[0].canonical_key
+    orders = sorted(int(kind[1:]) for kind in movekinds)
 
     def steps(d: Diagram):
-        if "B2" in movekinds:
-            yield from _switch_steps(d)
-        if "B3" in movekinds:
-            yield from _delta_steps(d)
+        for k in orders:
+            yield from _rewrite_steps(d, k)
 
     res = _search(d1, steps, lambda _, key: key == goal, budget)
     if res.found and not res.expansions:
@@ -125,4 +124,5 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
     def score(x: Diagram) -> int:
         return x.n_crossings + 2 * abs(gauss.v2(x))
 
-    return _search(d, _delta_steps, lambda cur, _: cur.n_crossings == 0, budget, score)
+    return _search(d, lambda x: _rewrite_steps(x, 3), lambda cur, _: cur.n_crossings == 0,
+                   budget, score)

@@ -36,8 +36,8 @@ from itertools import combinations, groupby, islice
 from typing import Callable, Container, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, _IdJoiner
-from .moves import (InapplicableMove, Script, _delta_steps, _Explorer, _r3_steps,
-                    _switch_steps, apply_move, greedy_reduce, replay, triangle_slide_sites)
+from .moves import (InapplicableMove, Script, _Explorer, _r3_steps, _rewrite_steps, _rewrites,
+                    apply_move, greedy_reduce, replay)
 from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
                       tangle_key)
 
@@ -60,7 +60,9 @@ class MoveTemplate:
     insertions: tuple[Tangle, ...]
 
     def insertion(self, variant: int = 0) -> Tangle:
-        return self.insertions[variant % len(self.insertions)]
+        if not 0 <= variant < len(self.insertions):
+            raise InvalidSite(f"no insertion variant {variant} of {self.name}")
+        return self.insertions[variant]
 
     def inverse(self) -> "MoveTemplate":
         return MoveTemplate(self.k, self.name + "~inv", self.after, self.before,
@@ -448,14 +450,9 @@ def _face_slots(walk: Sequence[tuple[int, int]], skip: Iterable[int] = (),
 
 
 def rewrite_chords(d: Diagram, k: int) -> list[Chord]:
-    """The order-k chords that rewrite d's own crossings: a switch of each
-    crossing for k = 2, in crossing order, and each triangle flip for k = 3,
-    in ``triangle_slide_sites`` order; none for other orders."""
-    if k == 2:
-        return [Chord(2, "switch", (ci,)) for ci in range(d.n_crossings)]
-    if k == 3:
-        return [Chord(3, "delta", s[1:]) for s in triangle_slide_sites(d, "delta")]
-    return []
+    """The order-k chords that rewrite d's own crossings, one per entry of
+    ``moves._rewrites`` (switches for k = 2, flips for k = 3), in its order."""
+    return [Chord(k, e[0], e[1:]) for e in _rewrites(d, k)]
 
 
 def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
@@ -534,10 +531,7 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
     cap = template.before.n_crossings + 4
 
     def steps(t: Fragment):
-        if l == 2:
-            yield from _switch_steps(t)
-        if l == 3:
-            yield from _delta_steps(t)
+        yield from _rewrite_steps(t, l)
         yield from _r3_steps(t)
 
     def reduce(t: Fragment):

@@ -7,10 +7,10 @@ import pytest
 from knotmoves import moves, search
 from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
-from knotmoves.moves import (InapplicableMove, _canonical_key, _delta_steps, _Explorer,
-                             _r3_steps, _switch_steps, greedy_reduce, random_perturb, replay,
-                             simplify)
+from knotmoves.moves import (InapplicableMove, _built, _canonical_key, _Explorer, _r3_steps,
+                             _rewrite_steps, greedy_reduce, random_perturb, replay, simplify)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
+from knotmoves.templates import builtin_templates
 
 
 def test_identical_diagrams_empty_path(left_trefoil):
@@ -91,15 +91,38 @@ def test_a_step_adds_at_most_two_crossings(small_knots):
     tight = 0
     for name, d in small_knots.items():
         p = random_perturb(d, 4, seed=5)
-        for steps in (_switch_steps, _delta_steps):
-            for step in steps(p):
+        for k in (2, 3):
+            for entries, _, _ in _rewrite_steps(p, k):
                 try:
-                    out = replay(p, step)
+                    out = replay(p, entries)
                 except (InapplicableMove, MalformedDiagram):
                     continue
-                assert out.n_crossings <= p.n_crossings + 2, (name, step)
+                assert out.n_crossings <= p.n_crossings + 2, (name, entries)
                 tight += out.n_crossings == p.n_crossings + 2
     assert tight > 0  # an R2 push followed by a flip reaches the bound
+
+
+def state(frag):
+    return frag.crossings, frag.legs, frag.free_loops
+
+
+def test_each_step_carries_what_its_entries_build(small_knots):
+    # A step's (base, records) builds the same fragment as replaying its
+    # entries through the checked ``apply_move``.
+    cases = []
+    for name, d in small_knots.items():
+        p = random_perturb(d, 4, seed=5)
+        cases += [(name, p, lambda f: _rewrite_steps(f, 2)), (name, p, _r3_steps),
+                  (name, p, lambda f: _rewrite_steps(f, 3))]
+    for k in (3, 4):  # order-3 rewrites on the templates' tangles
+        cases.append((k, builtin_templates()[k].before, lambda f: _rewrite_steps(f, 3)))
+    counts = {"switch": 0, "r3": 0, "delta": 0, "r2+": 0, "renamed leg": 0}
+    for name, frag, steps in cases:
+        for entries, base, records in steps(frag):
+            assert state(_built(base, records)) == state(replay(frag, entries)), (name, entries)
+            counts[entries[0][0]] += 1
+            counts["renamed leg"] += base.legs != frag.legs
+    assert all(counts.values()), counts  # every kind of step is covered
 
 
 def test_search_deterministic(left_trefoil, unknot):
@@ -209,7 +232,7 @@ class ReferenceExplorer(_Explorer):
         push(self.start, self.script)
         while frontier and self.expansions < budget:
             cur, script = pop()
-            for step in self.steps(cur):
+            for step, _, _ in self.steps(cur):  # the records are ignored
                 self.expansions += 1
                 if self.expansions > budget:
                     break
@@ -311,14 +334,14 @@ def test_back_to_back_searches_keep_nothing(monkeypatch, small_knots):
 
 
 @pytest.mark.parametrize("steps, reduce", [(_r3_steps, lambda f: (f, [])),
-                                           (_delta_steps, greedy_reduce)])
+                                           (lambda f: _rewrite_steps(f, 3), greedy_reduce)])
 def test_no_slide_state_built_twice(monkeypatch, knots, steps, reduce):
     built, slides = [], []
-    slid, slide_records = moves._slid, moves._slide_records
+    build, slide_records = moves._built, moves._slide_records
 
-    def count_slid(frag, crossings):
+    def count_built(frag, crossings):
         built.append((crossings, frag.legs, frag.free_loops))
-        return slid(frag, crossings)
+        return build(frag, crossings)
 
     def count_records(frag, *site):
         slides.append(site)
@@ -328,7 +351,7 @@ def test_no_slide_state_built_twice(monkeypatch, knots, steps, reduce):
         start = random_perturb(knots[name], 10, seed=4)
         ref = list(ReferenceExplorer(start, [], _canonical_key, steps, reduce, 300))
         with monkeypatch.context() as m:
-            m.setattr(moves, "_slid", count_slid)
+            m.setattr(moves, "_built", count_built)
             m.setattr(moves, "_slide_records", count_records)
             walk = _Explorer(start, [], _canonical_key, steps, reduce, 300)
             got = list(walk)

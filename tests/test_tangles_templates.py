@@ -258,6 +258,23 @@ def test_chord_json_round_trip(left_trefoil):
     assert again == chord
 
 
+def test_out_of_range_variant_is_refused(left_trefoil):
+    # Each template has two insertion variants; another number names no blob.
+    chord = next(c for c in enumerate_sites(left_trefoil, 2, cap=40) if c.kind == "insert")
+    for variant in (0, 1):
+        apply_chord(left_trefoil, Chord(2, "insert", chord.sites, variant)).validate()
+    for variant in (2, 3, 7, -1):
+        bad = Chord(2, "insert", chord.sites, variant)
+        with pytest.raises(InvalidSite):
+            apply_chord(left_trefoil, bad)
+        with pytest.raises(InvalidSite):
+            band_sum(left_trefoil, [bad])
+        with pytest.raises(InvalidSite):  # its record is refused as well
+            Chord.from_json(bad.to_json())
+        with pytest.raises(InvalidSite):
+            builtin_templates()[2].insertion(variant)
+
+
 def test_inverse_template_is_brunnian():
     for tpl in builtin_templates().values():
         inv = tpl.inverse()
