@@ -11,8 +11,6 @@ from __future__ import annotations
 from .diagram import Crossing, Diagram
 from .poly import LaurentPolynomial
 
-_DELTA = LaurentPolynomial({2: -1, -2: -1})
-
 BRACKET_CROSSING_LIMIT = 20
 
 
@@ -45,16 +43,29 @@ def _contract(crossings: tuple[Crossing, ...]) -> LaurentPolynomial:
     of the open edges, stored as the partner of each open edge in sorted
     order, to its polynomial.  An A-smoothing joins slots (0,1),(2,3) with
     weight A, a B-smoothing (1,2),(3,0) with weight A^-1, and each closed
-    loop multiplies by delta.  Slot 0 of crossing 0 gets the label -1, which
-    cuts the knot open there: its strand never closes, so no division by
-    delta is needed and the one matching left holds <D>.
+    loop multiplies by delta = -A^2 - A^-2.  Slot 0 of crossing 0 gets the
+    label -1, which cuts the knot open there: its strand never closes, so no
+    division by delta is needed and the one matching left holds <D>.
+
+    Each state's polynomial is one int, A^e packed as 2^(bits (e + low)).
+    Every loop closed on the way is a circle of some full state other than
+    the cut one, and a state of a connected n-crossing diagram has at most
+    n + 1 circles, so every exponent, intermediate ones too, is at least
+    -n - 2n: low = 3n keeps all of them nonnegative, and every right shift
+    is exact.  Each coefficient of <D> is at most the sum over states of
+    2^(closed loops) <= 4^n < 2^(2n+1) in absolute value, so bits = 2n + 2
+    makes each one signed base-2^bits digit.  Intermediate coefficients may
+    be any size: the packed int is an exact evaluation, and only the final
+    read-out needs the digit bound.
     """
+    n = len(crossings)
+    bits, low = 2 * n + 2, 3 * n
     ends = [list(c.ends) for c in crossings]
     ends[0][0] = -1
-    todo = list(range(len(ends)))
+    todo = list(range(n))
     open_edges: set[int] = set()
     boundary: list[int] = []
-    states = {(): LaurentPolynomial.one()}
+    states = {(): 1 << (bits * low)}
     while todo:
         ci = max(todo, key=lambda i: (sum(e in open_edges for e in ends[i]), -i))
         todo.remove(ci)
@@ -62,20 +73,18 @@ def _contract(crossings: tuple[Crossing, ...]) -> LaurentPolynomial:
         for e in (a, b, c, d):
             open_edges ^= {e}
         new_boundary = sorted(open_edges)
-        out: dict[tuple[int, ...], LaurentPolynomial] = {}
+        out: dict[tuple[int, ...], int] = {}
         for key, value in states.items():
-            for shift, (x, y, z, w) in ((1, (a, b, c, d)), (-1, (b, c, d, a))):
+            for term, (x, y, z, w) in ((value << bits, (a, b, c, d)),
+                                       (value >> bits, (b, c, d, a))):
                 match = dict(zip(boundary, key))
-                loops = _join(match, x, y) + _join(match, z, w)
-                term = value.shift(shift)
-                for _ in range(loops):
-                    term = term * _DELTA
+                for _ in range(_join(match, x, y) + _join(match, z, w)):
+                    term = -(term << 2 * bits) - (term >> 2 * bits)
                 new_key = tuple(map(match.__getitem__, new_boundary))
-                old = out.get(new_key)
-                out[new_key] = term if old is None else old + term
+                out[new_key] = out.get(new_key, 0) + term
         states, boundary = out, new_boundary
     (value,) = states.values()
-    return value
+    return LaurentPolynomial((i - low, coeff) for i, coeff in enumerate(_digits(value, bits)))
 
 
 def kauffman_bracket(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> LaurentPolynomial:
@@ -84,7 +93,7 @@ def kauffman_bracket(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> Laurent
         raise CrossingLimitExceeded(
             f"{d.n_crossings} crossings exceeds bracket limit {limit}")
     if not d.crossings:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     return _contract(d.crossings)
 
 
@@ -92,16 +101,15 @@ def jones(d: Diagram, limit: int = BRACKET_CROSSING_LIMIT) -> LaurentPolynomial:
     """Jones polynomial; exponents are stored in half-units of t.
 
     A term c * t^(k/2) is stored with key k.  For knots all keys are even.
+    V(t) is (-A^3)^(-w) <D> at A = t^(-1/4), so A^e becomes key -(e - 3w)/2.
     """
     bracket = kauffman_bracket(d, limit)
     w = d.writhe()
-    wr = LaurentPolynomial({3 * (-w): (-1) ** (w % 2)})
-    f = wr * bracket
     terms = {}
-    for a_exp, coeff in f.items():
-        if a_exp % 2:
+    for a_exp, coeff in bracket.items():
+        if (a_exp - 3 * w) % 2:
             raise AssertionError("bracket produced an odd A-exponent")
-        terms[-a_exp // 2] = coeff
+        terms[(3 * w - a_exp) // 2] = (-1) ** (w % 2) * coeff
     return LaurentPolynomial(terms)
 
 
@@ -173,10 +181,10 @@ def conway(d: Diagram) -> LaurentPolynomial:
     so one determinant gives them all (Kronecker substitution).  Delta is
     normalized so that Delta(t) = Delta(1/t) and Delta(1) = 1, and rewritten
     through t^k + t^-k = s_k(z), where s_0 = 2, s_1 = z^2 + 2 and
-    s_{k+1} = (z^2 + 2) s_k - s_{k-1}.
+    s_{k+1} = (z^2 + 2) s_k - s_{k-1}, as coefficient lists in powers of z^2.
     """
     if not d.crossings:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     bits = 2 * d.n_crossings
     minor = [row[:-1] for row in _alexander_rows(d, 1 << bits)[:-1]]
     coeffs = _digits(_det(minor), bits)
@@ -187,13 +195,13 @@ def conway(d: Diagram) -> LaurentPolynomial:
     if sum(coeffs) < 0:
         coeffs = [-c for c in coeffs]
     mid = len(coeffs) // 2
-    z2_plus_2 = LaurentPolynomial({0: 2, 2: 1})
-    prev, cur = LaurentPolynomial({0: 2}), z2_plus_2
-    nabla = LaurentPolynomial({0: coeffs[mid]})
+    nabla = [coeffs[mid]] + [0] * mid  # coefficients of z^0, z^2, ..., z^(2 mid)
+    prev, cur = [2], [2, 1]
     for k in range(1, mid + 1):
-        nabla = nabla + coeffs[mid + k] * cur
-        prev, cur = cur, z2_plus_2 * cur - prev
-    return nabla
+        for i, c in enumerate(cur):
+            nabla[i] += coeffs[mid + k] * c
+        prev, cur = cur, [2 * a + b - c for a, b, c in zip(cur + [0], [0] + cur, prev + [0, 0])]
+    return LaurentPolynomial((2 * i, c) for i, c in enumerate(nabla))
 
 
 # -- derived Vassiliev values ---------------------------------------------------

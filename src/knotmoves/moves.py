@@ -311,8 +311,9 @@ class _Explorer:
     tried.  ``steps(fragment)`` yields ``(entries, base, records)``: a
     step's script entries, the fragment its last entry (a rewrite or slide,
     which keeps legs and free loops) applies to, and the crossing records
-    after it.  Each step is one expansion; the walk stops once the frontier
-    is empty or ``budget`` expansions are spent.  ``reduce(raw)`` returns
+    after it.  Each step is one expansion, counted only once the budget
+    allows it; the walk stops once ``budget`` expansions are spent, or once
+    the frontier is empty, which sets ``exhausted``.  ``reduce(raw)`` returns
     ``(fragment, extra_script)`` or ``None`` to reject the neighbour.  The
     frontier is one heap, ranked by arrival (FIFO), or by ``(score(fragment),
     n_crossings, arrival)`` when ``score`` is given.  A state is pushed after
@@ -335,6 +336,7 @@ class _Explorer:
         self.key_fn, self.steps, self.reduce = key_fn, steps, reduce
         self.budget, self.score = budget, score
         self.expansions = 0
+        self.exhausted = False
 
     def __iter__(self):
         key_fn, budget, score = self.key_fn, self.budget, self.score
@@ -354,9 +356,9 @@ class _Explorer:
         while frontier and self.expansions < budget:
             _, cur, script = heapq.heappop(frontier)
             for entries, base, records in self.steps(cur):
+                if self.expansions == budget:
+                    return
                 self.expansions += 1
-                if self.expansions > budget:
-                    break
                 state = (records, base.legs, base.free_loops)
                 if state in reached:
                     continue
@@ -376,6 +378,7 @@ class _Explorer:
                 nscript = script + list(entries) + extra
                 yield nxt, key, nscript
                 push(nxt, nscript)
+        self.exhausted = not frontier
 
 
 def _rewrites(frag: Fragment, k: int) -> list[tuple]:

@@ -2,8 +2,10 @@
 
 Searches return replayable scripts (the move-script vocabulary of
 knotmoves.moves plus "switch" and "delta" rewrites).  A result with
-found=False means the budget ran out; it is never evidence that no path
-exists.
+found=False says what stopped the search: the budget ran out ("budget
+exhausted"), or every state reachable under the crossing cap was explored
+("move graph exhausted under the crossing cap").  Neither is evidence that
+no path exists: a path may need more expansions, or larger intermediates.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def _search(d: Diagram, steps, at_goal, budget: int, score=None) -> SearchResult
     for cur, key, script in walk:
         if at_goal(cur, key):
             return SearchResult(True, script, _move_count(script), walk.expansions)
-    return SearchResult(False, [], 0, walk.expansions, "budget exhausted")
+    note = "move graph exhausted under the crossing cap" if walk.exhausted else "budget exhausted"
+    return SearchResult(False, [], 0, walk.expansions, note)
 
 
 def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
@@ -92,8 +95,8 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     movekinds is a subset of {"B2", "B3", "B4"}: order-2 moves are crossing
     switches, order-3 moves are triangle flips with one optional R2 prep,
     and order 4 has no rewrite repertoire cheap enough for the crossing cap
-    (so B4-only searches report exhaustion).  Intermediate diagrams are
-    capped at n(d1) + CAP_EXTRA crossings.
+    (so B4-only searches report the move graph exhausted).  Intermediate
+    diagrams are capped at n(d1) + CAP_EXTRA crossings.
     """
     bad = movekinds - MOVE_KINDS
     if bad:
@@ -119,7 +122,7 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
     The additive score lets the search climb out of v2 = 0 plateaus
     (needed for composites whose summands have cancelling v2).
     Intermediates are capped at n(d) + CAP_EXTRA crossings.  Failures are
-    budget artifacts, never counterexamples.
+    artifacts of the budget or the cap, never counterexamples.
     """
     def score(x: Diagram) -> int:
         return x.n_crossings + 2 * abs(gauss.v2(x))

@@ -516,8 +516,8 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
     """Search for order-l chord rewrites turning `before` into `after`.
 
     Returns a replayable script of switches / triangle flips interleaved
-    with Reidemeister moves, or None when the budget is exhausted (which is
-    never a disproof).
+    with Reidemeister moves, or None when the budget or the moves under the
+    crossing cap are exhausted (which is never a disproof).
     """
     if l < 2:
         raise ValueError("l must be at least 2")

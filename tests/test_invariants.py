@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from knotmoves import gauss
-from knotmoves.diagram import Diagram, Fragment, _IdJoiner, parse_dt
+from knotmoves.diagram import Diagram, Fragment, _IdJoiner, parse_dt, parse_pd
 from knotmoves.finitetype import random_family
 from knotmoves.invariants import (CrossingLimitExceeded, _alexander_rows, _det, _digits,
                                   _v2_from_jones, _v3_from_jones, conway, jones,
@@ -15,15 +16,16 @@ from knotmoves.moves import r1_add, random_perturb, replay
 from knotmoves.poly import LaurentPolynomial as L
 from knotmoves.tangles import tangle_key
 from knotmoves.templates import family
+from polyops import padd, pmul
 
 
 def brute_bracket(d: Diagram) -> L:
     """Independent oracle: literal 2^n state sum with union-find loop counting."""
     n = d.n_crossings
     if n == 0:
-        return L.one()
+        return L({0: 1})
     delta = L({2: -1, -2: -1})
-    total = L.zero()
+    total = L()
     for state in itertools.product("AB", repeat=n):
         parent: dict = {}
 
@@ -52,12 +54,12 @@ def brute_bracket(d: Diagram) -> L:
         for ports in occs.values():
             union(ports[0], ports[1])
         loops = len({find((id(c), s)) for c in d.crossings for s in range(4)})
-        total = total + L.monomial(exp) * delta ** (loops - 1)
+        total = padd(total, pmul(L({exp: 1}), *[delta] * (loops - 1)))
     return total
 
 
 def test_bracket_unknot(unknot):
-    assert kauffman_bracket(unknot) == L.one()
+    assert kauffman_bracket(unknot) == L({0: 1})
 
 
 def test_bracket_kinks(unknot):
@@ -86,6 +88,28 @@ def test_bracket_matches_brute_on_perturbed_corpus(knots):
 
 
 @pytest.mark.parametrize("chirality", [1, -1])
+def test_bracket_of_kinks_reaches_the_packing_range(unknot, chirality):
+    # n kinks of one chirality: <D> = (-A^(3 chirality))^n, whose one term
+    # sits at exponent +-3n, the edge of the packed range (low = 3n).
+    d = unknot
+    for n in range(1, 13):
+        d = r1_add(d, max(d.edges(), default=0), chirality)
+        assert kauffman_bracket(d) == L({3 * chirality * n: (-1) ** n}), n
+
+
+def test_bracket_multiplicative_on_a_sum_with_large_coefficients(knots):
+    # Six 7_7 summands, 42 crossings: bracket coefficients up to 7,460,631
+    # (24-bit digits), where no corpus knot passes 6, so a digit
+    # width far too narrow shows here.
+    d = knots["7_7"]
+    for _ in range(5):
+        d = d.connected_sum(knots["7_7"])
+    bracket = kauffman_bracket(d, limit=d.n_crossings)
+    assert bracket == pmul(*[kauffman_bracket(knots["7_7"])] * 6)
+    assert max(abs(c) for _, c in bracket.items()) == 7_460_631
+
+
+@pytest.mark.parametrize("chirality", [1, -1])
 def test_bracket_cut_on_a_kink_loop(knots, chirality):
     # The contraction cuts the knot at slot 0 of crossing 0; put that slot on
     # the loop of a fresh kink, so the cut strand is also a curl.
@@ -96,7 +120,7 @@ def test_bracket_cut_on_a_kink_loop(knots, chirality):
         assert curl.ends[0] in (curl.ends[1], curl.ends[3])
         first = Diagram((curl,) + kinked.crossings[:-1])
         assert kauffman_bracket(first) == brute_bracket(first)
-        assert kauffman_bracket(first) == L({3 * chirality: -1}) * kauffman_bracket(d)
+        assert kauffman_bracket(first) == pmul(L({3 * chirality: -1}), kauffman_bracket(d))
 
 
 def test_bracket_crossing_limit(left_trefoil):
@@ -104,15 +128,20 @@ def test_bracket_crossing_limit(left_trefoil):
         kauffman_bracket(left_trefoil, limit=2)
 
 
+def reciprocal(p: L) -> L:
+    """p with t -> 1/t: the Jones polynomial of the mirror image."""
+    return L({-e: c for e, c in p.items()})
+
+
 def test_jones_trefoil(right_trefoil, left_trefoil):
     # V(right trefoil) = -t^4 + t^3 + t, stored in half-unit exponents
     assert jones(right_trefoil) == L({2: 1, 6: 1, 8: -1})
-    assert jones(left_trefoil) == jones(right_trefoil).reciprocal()
+    assert jones(left_trefoil) == reciprocal(jones(right_trefoil))
 
 
 def test_jones_fig8_amphichiral():
     fig8 = parse_dt("4 6 8 2")
-    assert jones(fig8) == jones(fig8).reciprocal()
+    assert jones(fig8) == reciprocal(jones(fig8))
     assert jones(fig8.mirror()) == jones(fig8)
 
 
@@ -125,7 +154,7 @@ def test_jones_r_move_invariance(left_trefoil):
 def test_conway_anchors(unknot, right_trefoil):
     # two-step skein by hand: switch one trefoil crossing -> unknot,
     # smooth -> Hopf link whose own skein gives +-z, so conway = 1 + z^2.
-    assert conway(unknot) == L.one()
+    assert conway(unknot) == L({0: 1})
     assert conway(right_trefoil) == L({0: 1, 2: 1})
     assert conway(parse_dt("4 6 8 2")) == L({0: 1, 2: -1})
 
@@ -212,7 +241,7 @@ def _interpolate(values: list[int]) -> list[int]:
 
 def _conway_by_interpolation(d: Diagram) -> L:
     if not d.crossings:
-        return L.one()
+        return L({0: 1})
     values = [_det([row[:-1] for row in _alexander_rows(d, t)[:-1]])
               for t in range(d.n_crossings)]
     coeffs = _interpolate(values)
@@ -226,8 +255,8 @@ def _conway_by_interpolation(d: Diagram) -> L:
     prev, cur = L({0: 2}), z2_plus_2
     nabla = L({0: coeffs[mid]})
     for k in range(1, mid + 1):
-        nabla = nabla + coeffs[mid + k] * cur
-        prev, cur = cur, z2_plus_2 * cur - prev
+        nabla = padd(nabla, pmul(coeffs[mid + k], cur))
+        prev, cur = cur, padd(pmul(z2_plus_2, cur), pmul(-1, prev))
     return nabla
 
 
@@ -285,7 +314,7 @@ def test_conway_on_minors_of_size_zero_and_one(unknot, chiralities):
         d = r1_add(d, max(d.edges(), default=0), chirality)
     # n crossings give an (n - 1) x (n - 1) Alexander minor: 0 x 0 or 1 x 1 here.
     assert d.n_crossings == len(chiralities)
-    assert conway(d) == L.one()
+    assert conway(d) == L({0: 1})
 
 
 def _smooth_unoriented(frag: Fragment, ci: int, mode: str) -> Fragment:
@@ -323,7 +352,7 @@ def test_bracket_state_key_golden(knots):
 def test_conway_multiplicative_on_sums(right_trefoil):
     fig8 = parse_dt("4 6 8 2")
     s = right_trefoil.connected_sum(fig8)
-    assert conway(s) == conway(right_trefoil) * conway(fig8)
+    assert conway(s) == pmul(conway(right_trefoil), conway(fig8))
 
 
 def test_conway_even_powers_only(knots):
@@ -353,6 +382,22 @@ def test_v2_v3_jones_equal_gauss_on_large_family_members(knots):
             assert (_v2_from_jones(v), _v3_from_jones(v)) == (gauss.v2(m), gauss.v3(m)), name
             sizes.append(m.n_crossings)
     assert len(sizes) == 50 and min(sizes) == 30 and max(sizes) == 59
+
+
+def test_v2_v3_jones_equal_gauss_on_pinned_large_codes():
+    # The 66-, 105- and 91-crossing codes of configs/invariants-large.tsv,
+    # with the bracket limit lifted.
+    path = Path(__file__).resolve().parent.parent / "configs" / "invariants-large.tsv"
+    sizes = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        name, code = line.split("\t")
+        d = parse_pd(code)
+        v = jones(d, limit=d.n_crossings)
+        assert (_v2_from_jones(v), _v3_from_jones(v)) == (gauss.v2(d), gauss.v3(d)), name
+        sizes.append(d.n_crossings)
+    assert sizes == [66, 105, 91]
 
 
 def test_v3_jones_calibration(right_trefoil, left_trefoil):
@@ -430,4 +475,4 @@ def test_conway_28_crossing_sum(knots):
     for _ in range(3):
         d = d.connected_sum(knots["7_1"])
     assert d.n_crossings == 28
-    assert conway(d) == conway(knots["7_1"]) ** 4
+    assert conway(d) == pmul(*[conway(knots["7_1"])] * 4)

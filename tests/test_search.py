@@ -132,12 +132,12 @@ def test_search_deterministic(left_trefoil, unknot):
 
 
 def test_b4_paths_are_best_effort(small_knots):
-    # order-4 rewriting is not enumerated cheaply; exhaustion is the
-    # expected (and honest) outcome, never an inequivalence claim
+    # order-4 rewriting is not enumerated cheaply: the start has no step, so
+    # the move graph is exhausted at once, never an inequivalence claim
     res = bfs_path(small_knots["granny"], small_knots["square"], {"B4"},
                    budget=50)
-    assert not res.found
-    assert res.note == "budget exhausted"
+    assert not res.found and res.expansions == 0
+    assert res.note == "move graph exhausted under the crossing cap"
 
 
 # Scripts and expansion counts recorded before the exact-state skip and the
@@ -178,7 +178,7 @@ def test_bfs_path_golden(left_trefoil, unknot, small_knots):
     assert res.to_json() == GOLDEN_DELTA["5_2"]
     res = bfs_path(small_knots["granny"], small_knots["square"], {"B3"},
                    budget=150)
-    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 151,
+    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 150,
                              "note": "budget exhausted", "script": []}
 
 
@@ -197,18 +197,34 @@ def test_bfs_path_mixed_b2_b3_golden(small_knots, unknot):
     # The frontier empties before the budget does: 208 < 300 expansions.
     res = bfs_path(small_knots["4_1"], small_knots["3_1"], {"B2", "B3"}, budget=300)
     assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 208,
-                             "note": "budget exhausted", "script": []}
+                             "note": "move graph exhausted under the crossing cap",
+                             "script": []}
+    # The budget is tested before a step is counted: the untried step that
+    # the budget stops is not an expansion.
     res = bfs_path(small_knots["granny"], small_knots["square"], {"B2", "B3"},
                    budget=150)
-    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 151,
+    assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 150,
                              "note": "budget exhausted", "script": []}
+
+
+@pytest.mark.parametrize("budget, expansions, note", [
+    (207, 207, "budget exhausted"), (208, 208, "budget exhausted"),
+    (209, 208, "move graph exhausted under the crossing cap")])
+def test_search_note_at_the_budget_edge(small_knots, budget, expansions, note):
+    # The 208th expansion is the last step there is, but the states still on
+    # the frontier then (the unknot) are only found to have none once the
+    # budget lets the search look at them.
+    res = bfs_path(small_knots["4_1"], small_knots["3_1"], {"B2", "B3"}, budget=budget)
+    assert (res.found, res.expansions, res.note) == (False, expansions, note)
 
 
 # -- reference: every reduced start explored, every slide state built ----------
 
 class ReferenceExplorer(_Explorer):
     """The explorer loop before the pre-build test: each step is replayed in
-    full, and its exact state tested against ``reached`` only then."""
+    full, and its exact state tested against ``reached`` only then.  It
+    counts steps and sets ``exhausted`` as the explorer does: it is the
+    oracle for the skip, not for the budget."""
 
     def __iter__(self):
         key_fn, budget, score = self.key_fn, self.budget, self.score
@@ -233,9 +249,9 @@ class ReferenceExplorer(_Explorer):
         while frontier and self.expansions < budget:
             cur, script = pop()
             for step, _, _ in self.steps(cur):  # the records are ignored
+                if self.expansions == budget:
+                    return
                 self.expansions += 1
-                if self.expansions > budget:
-                    break
                 try:
                     nxt = replay(cur, step)
                 except (InapplicableMove, MalformedDiagram):
@@ -255,6 +271,7 @@ class ReferenceExplorer(_Explorer):
                 nscript = script + list(step) + extra
                 yield nxt, key, nscript
                 push(nxt, nscript)
+        self.exhausted = not frontier
 
 
 def reference_run(monkeypatch, search_fn, *args, **kwargs):
