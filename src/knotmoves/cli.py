@@ -21,7 +21,7 @@ from .finitetype import (delta_v2_witness, group_checks, move_invariance_report,
                          verify_type)
 from .invariants import vassiliev_report
 from .moves import replay
-from .search import MOVE_KINDS, bfs_path, delta_unknot, replay_path
+from .search import DEFAULT_BUDGET, MOVE_KINDS, bfs_path, delta_unknot, replay_path
 from .templates import builtin_templates, realize_by_lower, replay_tangle_script
 
 
@@ -151,8 +151,12 @@ def cmd_invariants(args, out) -> int:
         return 0 if successes else 2
 
 
+def _bases(spec: dict) -> dict[str, Diagram]:
+    return corpus(max_crossings=spec.get("max_crossings", 7), include_unknot=True)
+
+
 def _suite_verify_type(spec: dict, out) -> bool:
-    bases = corpus(max_crossings=spec.get("max_crossings", 7), include_unknot=True)
+    bases = _bases(spec)
     records = verify_type(spec["phi"], tuple(spec["orders"]), spec["trials"],
                           spec["seed"], bases)
     ok = True
@@ -166,7 +170,7 @@ def _suite_verify_type(spec: dict, out) -> bool:
 
 
 def _suite_move_invariance(spec: dict, out) -> bool:
-    bases = corpus(max_crossings=spec.get("max_crossings", 7), include_unknot=True)
+    bases = _bases(spec)
     names = sorted(bases)
     total = spec.get("moves", 100)
     per = max(1, spec.get("chain", 5))
@@ -191,7 +195,7 @@ def _suite_move_invariance(spec: dict, out) -> bool:
 
 
 def _suite_group(spec: dict, out) -> bool:
-    bases = corpus(max_crossings=spec.get("max_crossings", 7), include_unknot=True)
+    bases = _bases(spec)
     rep = group_checks(bases, pairs=spec.get("pairs", 50), seed=spec["seed"])
     _emit(out, {"record": "group_checks", "pass": rep["pass"],
                 "v2_inverse_pairs": len(rep["inverses"]["v2_level"]),
@@ -200,8 +204,8 @@ def _suite_group(spec: dict, out) -> bool:
 
 
 def _suite_searches(spec: dict, out) -> bool:
-    bases = corpus(max_crossings=spec.get("max_crossings", 7), include_unknot=True)
-    budget = spec.get("budget", 4000)
+    bases = _bases(spec)
+    budget = spec.get("budget", DEFAULT_BUDGET)
     trefoil = bases["3_1"]
     res = bfs_path(trefoil, Diagram.unknot(), {"B2"}, budget)
     ok = res.found and res.moves_used == 1
@@ -393,7 +397,7 @@ def main(argv=None) -> int:
     p.add_argument("--from", required=True)
     p.add_argument("--to", default=None)
     p.add_argument("--movekinds", default="B2")
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--delta-unknot", action="store_true")
 
     p = sub.add_parser("path-replay", help="replay a move script and check the result")

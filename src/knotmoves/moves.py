@@ -31,7 +31,7 @@ def _rebuild(frag: Fragment, crossings, legs=None, free_loops=None):
     loops = frag.free_loops if free_loops is None else free_loops
     if isinstance(frag, Diagram):
         return Diagram(crossings, loops, basepoint=None, check=False)
-    return Fragment(crossings, legs, loops)
+    return type(frag)(crossings, legs, loops)
 
 
 def _finish(frag: Fragment, crossings: list[Crossing], joiner: _IdJoiner):
@@ -100,18 +100,14 @@ def _bigon_faces(frag: Fragment) -> list[list[int]]:
 def r2_removal_sites(frag: Fragment) -> list[tuple]:
     mate, dart, _ = frag._slots
     sites = []
-    seen = set()
     for p, q in _bigon_faces(frag):
         # p leaves corner p >> 2 for corner q >> 2 and q leaves it back, in
         # adjacent slots: the two edges lie on two strands.  The bigon is
         # removable when p's edge takes the same strand (under or over) at
-        # both corners.
-        x, y = dart[p][0], dart[q][0]
-        ci, cj = sorted((p >> 2, q >> 2))
-        key = (ci, cj, *sorted((x, y)))
-        if key not in seen and p & 1 == mate[p] & 1:
-            seen.add(key)
-            sites.append(("r2-", ci, cj, x, y))
+        # both corners.  Two edges bound at most one bigon: none repeats.
+        if p & 1 == mate[p] & 1:
+            ci, cj = sorted((p >> 2, q >> 2))
+            sites.append(("r2-", ci, cj, dart[p][0], dart[q][0]))
     return sites
 
 
@@ -208,33 +204,18 @@ def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
 
 def _slide_records(frag: Fragment, c1: int, c2: int, c3: int,
                    x12: int, x23: int, x31: int) -> tuple[Crossing, ...]:
-    """The crossing records after ``triangle_slide``, with nothing built."""
-    crossings = list(frag.crossings)
-    ca, cb, cc = crossings[c1], crossings[c2], crossings[c3]
-    p_x12, p_x31 = ca.ends.index(x12), ca.ends.index(x31)
-    q_x12, q_x23 = cb.ends.index(x12), cb.ends.index(x23)
-    r_x23, r_x31 = cc.ends.index(x23), cc.ends.index(x31)
-    a1 = ca.ends[(p_x12 + 2) % 4]
-    co1 = ca.ends[(p_x31 + 2) % 4]
-    a2 = cb.ends[(q_x12 + 2) % 4]
-    b2 = cb.ends[(q_x23 + 2) % 4]
-    b3 = cc.ends[(r_x23 + 2) % 4]
-    co3 = cc.ends[(r_x31 + 2) % 4]
-
-    # The slide swaps the crossing order along every strand; each strand
-    # keeps its slot pair at each record, so over/under data is untouched.
-    na = list(ca.ends)
-    na[(p_x12 + 2) % 4] = a2
-    na[(p_x31 + 2) % 4] = co3
-    nb = list(cb.ends)
-    nb[(q_x12 + 2) % 4] = a1
-    nb[(q_x23 + 2) % 4] = b3
-    nc = list(cc.ends)
-    nc[(r_x23 + 2) % 4] = b2
-    nc[(r_x31 + 2) % 4] = co1
-    crossings[c1] = Crossing(tuple(na))
-    crossings[c2] = Crossing(tuple(nb))
-    crossings[c3] = Crossing(tuple(nc))
+    """The crossing records after ``triangle_slide``, with nothing built:
+    across each side of the triangle, its two corners swap the ends beyond
+    that side.  Each strand keeps its slot pair at each record, so
+    over/under data is untouched."""
+    old = frag.crossings
+    new = {c: list(old[c].ends) for c in (c1, c2, c3)}
+    for x, ci, cj in ((x12, c1, c2), (x23, c2, c3), (x31, c3, c1)):
+        si, sj = old[ci].ends.index(x) ^ 2, old[cj].ends.index(x) ^ 2
+        new[ci][si], new[cj][sj] = old[cj].ends[sj], old[ci].ends[si]
+    crossings = list(old)
+    for c, ends in new.items():
+        crossings[c] = Crossing(tuple(ends))
     return tuple(crossings)
 
 
@@ -407,10 +388,8 @@ def _rewrite_steps(frag: Fragment, k: int):
     for entry in _rewrites(frag, k):
         yield _step(frag, entry)
     for prep in r2_add_sites(frag) if k == 3 else ():
-        try:
-            pushed = r2_add(frag, *prep[1:])
-        except (InapplicableMove, MalformedDiagram):
-            continue
+        # A listed push needs no check: apply it directly.
+        pushed = r2_add(frag, *prep[1:])
         for entry in _rewrites(pushed, 3):
             yield _step(pushed, prep, entry)
 

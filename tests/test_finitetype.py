@@ -25,7 +25,7 @@ def test_family_condition_four_structurally(left_trefoil):
     rng = random.Random(8)
     fam = None
     while fam is None or any(c.kind != "insert" for c in fam.chords):
-        fam = random_family(left_trefoil, (2, 2), rng, allow_switch=False)
+        fam = random_family(left_trefoil, (2, 2), rng)
     out = family(fam)
     # K_P holds chord i's inserted crossings iff i is in P; edge labels are
     # not shared between members, so count them
@@ -113,6 +113,22 @@ def test_zero_moves_trivially_pass(small_knots):
     assert rep["pass"] and rep["steps"] == []
 
 
+def test_order3_report_passes_only_when_a_move_changes_v2(monkeypatch, small_knots, unknot):
+    """For l = 2 the report exhibits sharpness: with no move, or with moves
+    that leave v2 alone, there is nothing to exhibit."""
+    from knotmoves import gauss
+
+    for d in (small_knots["3_1"], unknot):
+        rep = move_invariance_report(d, l=2, n_moves=3, seed=1)
+        assert rep["pass"] and len(rep["steps"]) == 3
+        assert any(rep["v2_deltas_seen"]), rep
+        rep = move_invariance_report(d, l=2, n_moves=0, seed=1)
+        assert not rep["pass"] and rep["steps"] == []
+    monkeypatch.setattr(gauss, "v2", lambda d: 0)
+    rep = move_invariance_report(small_knots["3_1"], l=2, n_moves=3, seed=1)
+    assert len(rep["steps"]) == 3 and rep["v2_deltas_seen"] == [0] and not rep["pass"]
+
+
 def test_group_checks(small_knots):
     rep = group_checks(small_knots, pairs=15, seed=3)
     assert rep["pass"]
@@ -177,7 +193,7 @@ def test_rewrite_chord_json_round_trip():
             Chord.from_json(bad)
 
 
-def _two_branch_random_family(base, orders, rng, allow_switch=True):
+def _two_branch_random_family(base, orders, rng):
     """random_family as it was with one branch per rewrite kind (the reference)."""
     from knotmoves.moves import InapplicableMove, triangle_slide_sites
     from knotmoves.templates import random_insert_chord
@@ -186,7 +202,7 @@ def _two_branch_random_family(base, orders, rng, allow_switch=True):
     used_crossings, rewrite_edges, insert_edges = set(), set(), set()
     for idx, k in enumerate(orders):
         chord = None
-        if k == 2 and allow_switch and base.n_crossings and rng.random() < 0.5:
+        if k == 2 and base.n_crossings and rng.random() < 0.5:
             free = [ci for ci in range(base.n_crossings)
                     if ci not in used_crossings
                     and not (set(base.crossings[ci].ends) & insert_edges)]
@@ -220,8 +236,7 @@ def _two_branch_random_family(base, orders, rng, allow_switch=True):
     return fam
 
 
-@pytest.mark.parametrize("allow_switch", [True, False])
-def test_random_family_matches_the_two_branch_reference(small_knots, allow_switch):
+def test_random_family_matches_the_two_branch_reference(small_knots):
     """One rewrite branch draws the same chords, and leaves the rng in the
     same state, as one branch for switches and one for flips."""
     from collections import Counter
@@ -231,13 +246,12 @@ def test_random_family_matches_the_two_branch_reference(small_knots, allow_switc
         for seed in range(5):
             want_rng, got_rng = random.Random(seed), random.Random(seed)
             for name, base in sorted(small_knots.items()):
-                want = _two_branch_random_family(base, orders, want_rng, allow_switch)
-                got = random_family(base, orders, got_rng, allow_switch)
+                want = _two_branch_random_family(base, orders, want_rng)
+                got = random_family(base, orders, got_rng)
                 assert (got and got.chords) == (want and want.chords), (orders, seed, name)
                 assert got_rng.getstate() == want_rng.getstate()
                 seen.update([c.kind for c in got.chords] if got else ["none"])
-    assert seen["insert"] and seen["delta"] and seen["none"], seen
-    assert bool(seen["switch"]) == allow_switch, seen
+    assert seen["insert"] and seen["switch"] and seen["delta"] and seen["none"], seen
 
 
 def test_families_on_larger_bases():

@@ -8,7 +8,8 @@ functions of ``self``, ``self.occurrences`` into ``reference_occurrences``).
 They are the oracle: face walks, strand walks, passages, signs, planarity,
 bigon and triangle faces, slide classes and the R1/R2 additions must agree
 on perturbed corpus diagrams, large family members, tangles with legs and
-the 0-crossing unknot.
+the 0-crossing unknot.  ``reference_slide_records`` is the triangle slide as
+it was written out slot by slot, the oracle for the one-rule slide.
 """
 
 import random
@@ -20,9 +21,10 @@ from knotmoves.corpus import corpus
 from knotmoves.diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram
 from knotmoves.finitetype import random_family
 from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _rebuild,
-                             r1_add, r2_add, r2_add_sites, r2_removal_sites, random_perturb,
-                             triangle_faces)
-from knotmoves.tangles import Builder, Tangle, clasp_word
+                             _slide_records, apply_move, greedy_reduce, r1_add,
+                             r1_removal_sites, r2_add, r2_add_sites, r2_removal_sites,
+                             random_perturb, replay, triangle_faces, triangle_slide_sites)
+from knotmoves.tangles import Builder, Tangle, clasp_word, simplify_tangle
 from knotmoves.templates import Chord, InvalidSite, apply_chord, builtin_templates, family
 
 # An occurrence of an edge end: ("x", crossing_index, slot) or ("b", leg_index, 0).
@@ -304,6 +306,37 @@ def reference_classify_slide(frag: Fragment, walk: list[Dart], moving: int):
     return ("r3" if coherent else "delta", c1, c2, c3, x12, x23, x31)
 
 
+def reference_slide_records(frag: Fragment, c1: int, c2: int, c3: int,
+                            x12: int, x23: int, x31: int) -> tuple[Crossing, ...]:
+    crossings = list(frag.crossings)
+    ca, cb, cc = crossings[c1], crossings[c2], crossings[c3]
+    p_x12, p_x31 = ca.ends.index(x12), ca.ends.index(x31)
+    q_x12, q_x23 = cb.ends.index(x12), cb.ends.index(x23)
+    r_x23, r_x31 = cc.ends.index(x23), cc.ends.index(x31)
+    a1 = ca.ends[(p_x12 + 2) % 4]
+    co1 = ca.ends[(p_x31 + 2) % 4]
+    a2 = cb.ends[(q_x12 + 2) % 4]
+    b2 = cb.ends[(q_x23 + 2) % 4]
+    b3 = cc.ends[(r_x23 + 2) % 4]
+    co3 = cc.ends[(r_x31 + 2) % 4]
+
+    # The slide swaps the crossing order along every strand; each strand
+    # keeps its slot pair at each record, so over/under data is untouched.
+    na = list(ca.ends)
+    na[(p_x12 + 2) % 4] = a2
+    na[(p_x31 + 2) % 4] = co3
+    nb = list(cb.ends)
+    nb[(q_x12 + 2) % 4] = a1
+    nb[(q_x23 + 2) % 4] = b3
+    nc = list(cc.ends)
+    nc[(r_x23 + 2) % 4] = b2
+    nc[(r_x31 + 2) % 4] = co1
+    crossings[c1] = Crossing(tuple(na))
+    crossings[c2] = Crossing(tuple(nb))
+    crossings[c3] = Crossing(tuple(nc))
+    return tuple(crossings)
+
+
 # -- inputs ---------------------------------------------------------------------
 
 def _perturbed() -> list[Diagram]:
@@ -507,3 +540,44 @@ def test_move_finders_match_reference_on_tangles():
 def test_move_finders_match_reference_on_large_family_members(large_members):
     for d in large_members:
         _check_moves(d, stride=11)
+
+
+def _check_listed_moves(frag: Fragment) -> int:
+    """Every listed slide against the slot-by-slot oracle, and every listed
+    R2 push applied with no check; returns the number of slides."""
+    slides = triangle_slide_sites(frag, "r3") + triangle_slide_sites(frag, "delta")
+    for site in slides:
+        assert _slide_records(frag, *site[1:]) == reference_slide_records(frag, *site[1:])
+    for site in r2_add_sites(frag):
+        pushed = r2_add(frag, *site[1:])
+        assert type(pushed) is type(frag) and pushed.n_crossings == frag.n_crossings + 2
+    return len(slides)
+
+
+def test_listed_slides_and_pushes_on_perturbed_corpus(perturbed):
+    assert sum(_check_listed_moves(d) for d in perturbed) > 100
+
+
+def test_listed_slides_and_pushes_on_tangles():
+    assert sum(_check_listed_moves(t) for t in _tangles()) > 10
+
+
+def test_listed_slides_and_pushes_on_large_family_members(large_members):
+    assert sum(_check_listed_moves(d) for d in large_members) > 1000
+
+
+def test_moves_keep_a_tangle_a_tangle():
+    for t in _tangles():
+        # ``_check_listed_moves`` covers R2 pushes.
+        sites = (r1_removal_sites(t) + r2_removal_sites(t) + triangle_slide_sites(t, "r3")
+                 + triangle_slide_sites(t, "delta")
+                 + [("switch", ci) for ci in range(t.n_crossings)]
+                 + [("r1+", e, 1) for e in t.edges()[:2]])
+        for site in sites:
+            assert type(apply_move(t, site)) is Tangle, site
+    # Deleting a strand of the order-4 template leaves an R2 bigon.
+    t = builtin_templates()[4].before.delete_strand(0)
+    reduced, script = greedy_reduce(t)
+    assert script and type(reduced) is Tangle and type(replay(t, script)) is Tangle
+    simple, _ = simplify_tangle(t)
+    assert type(simple) is Tangle and simple.strand_legs() == reduced.strand_legs()
