@@ -11,18 +11,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 
 from . import __version__, gauss
 from .corpus import corpus
-from .diagram import Diagram, MalformedDiagram, NotRealizable, parse_dt, parse_pd
-from .finitetype import (delta_v2_witness, group_checks, move_invariance_report,
-                         verify_type)
+from .diagram import Diagram, parse_dt, parse_pd
+from .finitetype import (INVARIANTS, delta_v2_witness, group_checks, move_invariance_report,
+                         random_family, verify_type)
 from .invariants import vassiliev_report
 from .moves import replay
 from .search import DEFAULT_BUDGET, MOVE_KINDS, bfs_path, delta_unknot, replay_path
-from .templates import builtin_templates, realize_by_lower, replay_tangle_script
+from .templates import builtin_templates, family, realize_by_lower, replay_tangle_script
 
 
 def _parse_code(code: str) -> Diagram:
@@ -145,7 +146,7 @@ def cmd_invariants(args, out) -> int:
                     cache.put(key, payload)
                 _emit(out, {"record": "knot", "name": name, "key": key, **payload})
                 successes += 1
-            except (MalformedDiagram, NotRealizable, ValueError) as exc:
+            except ValueError as exc:
                 _emit(out, {"record": "error", "name": name, "line": lineno,
                             "error": str(exc)})
         return 0 if successes else 2
@@ -250,6 +251,28 @@ _SUITES = {
 }
 
 
+def _among(x, options) -> bool:
+    """x equals one of options and has its type: no bool or float passes for an int."""
+    return any(type(x) is type(o) and x == o for o in options)
+
+
+def _spec_problem(spec) -> str | None:
+    """Why a suite spec cannot run, or None."""
+    if not isinstance(spec, dict) or not _among(spec.get("suite"), _SUITES):
+        return f"suite must be one of {sorted(_SUITES)}"
+    if spec["suite"] == "verify_type":
+        orders, trials = spec.get("orders"), spec.get("trials")
+        if not _among(spec.get("phi"), INVARIANTS):
+            return f"phi must be one of {sorted(INVARIANTS)}"
+        if not isinstance(orders, list) or not all(_among(k, builtin_templates()) for k in orders):
+            return f"orders must be a list of template orders {sorted(builtin_templates())}"
+        if type(trials) is not int or trials < 0:
+            return "trials must be an integer >= 0"
+    if spec["suite"] == "move_invariance_report" and not _among(spec.get("l", 3), (2, 3)):
+        return "l must be 2 or 3"
+    return None
+
+
 def cmd_verify(args, out) -> int:
     try:
         with open(args.config) as fh:
@@ -261,17 +284,19 @@ def cmd_verify(args, out) -> int:
     except ValueError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    suites = config.get("suites")
+    suites = config.get("suites") if isinstance(config, dict) else None
     if not isinstance(suites, list):
-        print("config must contain a list under 'suites'", file=sys.stderr)
+        print("config must be an object with a list under 'suites'", file=sys.stderr)
         return 2
+    for spec in suites:
+        problem = _spec_problem(spec)
+        if problem:
+            print(f"bad suite spec {spec!r}: {problem}", file=sys.stderr)
+            return 2
     _header(out, seed=config.get("seed"), config_text=config_text)
     all_ok = True
     for spec in suites:
-        kind = spec.get("suite")
-        if kind not in _SUITES:
-            print(f"unknown suite {kind!r}", file=sys.stderr)
-            return 2
+        kind = spec["suite"]
         if "seed" not in spec:
             spec = {**spec, "seed": config.get("seed", 0)}
         ok = _SUITES[kind](spec, out)
@@ -282,15 +307,12 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_family(args, out) -> int:
-    from .finitetype import random_family
-    import random as _random
-
     try:
         base = _parse_code(args.base)
         orders = tuple(int(x) for x in args.orders.split(",")) if args.orders else ()
         if not set(orders) <= builtin_templates().keys():
             raise ValueError(f"orders must be 2, 3 or 4, got {args.orders}")
-    except (MalformedDiagram, NotRealizable, ValueError) as exc:
+    except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     _header(out, seed=args.seed)
@@ -301,7 +323,7 @@ def cmd_family(args, out) -> int:
         _emit(out, {"record": "family-sums", "v2_sum": gauss.v2(base),
                     "v3_sum": gauss.v3(base)})
         return 0
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     fam = None
     for _ in range(50):
         fam = random_family(base, orders, rng)
@@ -310,10 +332,8 @@ def cmd_family(args, out) -> int:
     if fam is None:
         print("site exhaustion: no family of that type found", file=sys.stderr)
         return 1
-    from .templates import family as expand
-
     s2 = s3 = 0
-    for subset, diagram in sorted(expand(fam).items(), key=lambda kv: sorted(kv[0])):
+    for subset, diagram in sorted(family(fam).items(), key=lambda kv: sorted(kv[0])):
         a, b = gauss.v2(diagram), gauss.v3(diagram)
         sign = (-1) ** len(subset)
         s2 += sign * a
@@ -328,7 +348,7 @@ def cmd_family(args, out) -> int:
 def cmd_search(args, out) -> int:
     try:
         d1 = _parse_code(getattr(args, "from"))
-    except (MalformedDiagram, NotRealizable, ValueError) as exc:
+    except ValueError as exc:
         print(f"bad diagram: {exc}", file=sys.stderr)
         return 2
     try:
@@ -339,7 +359,7 @@ def cmd_search(args, out) -> int:
             kinds = set(args.movekinds.split(",")) if args.movekinds else {"B2"}
             if not kinds <= MOVE_KINDS:
                 raise ValueError(f"unsupported move kinds: {sorted(kinds - MOVE_KINDS)}")
-    except (MalformedDiagram, NotRealizable, ValueError) as exc:
+    except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     _header(out, seed=None)
@@ -357,7 +377,7 @@ def cmd_path_replay(args, out) -> int:
         d = _parse_code(args.diagram)
         with open(args.script) as fh:
             script = [tuple(e) for e in json.load(fh)]
-    except (OSError, TypeError, ValueError, MalformedDiagram, NotRealizable) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     _header(out)
@@ -370,7 +390,7 @@ def cmd_path_replay(args, out) -> int:
         ok = replay_path(d, script, target)
         _emit(out, {"record": "replay", "ok": ok, "target": target})
         return 0 if ok else 1
-    except (IndexError, TypeError, MalformedDiagram, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         _emit(out, {"record": "replay", "ok": False, "error": str(exc)})
         return 1
 

@@ -17,7 +17,7 @@ import itertools
 import random
 from typing import Callable, Iterable, Sequence
 
-from .diagram import Crossing, Diagram, Fragment, MalformedDiagram, _IdJoiner
+from .diagram import Crossing, Diagram, Fragment, _IdJoiner
 
 Script = list[tuple]
 
@@ -53,10 +53,9 @@ def r1_removal_sites(frag: Fragment) -> list[tuple]:
 
 
 def r1_remove(frag: Fragment, ci: int) -> Fragment:
+    """Remove the kink of the ``r1_removal_sites`` entry ("r1-", ci)."""
     c = frag.crossings[ci]
     loop_slot = _kink_slot(c)
-    if loop_slot is None:
-        raise InapplicableMove(f"crossing {ci} carries no kink loop")
     p = c.ends[(loop_slot + 2) % 4]
     q = c.ends[(loop_slot + 3) % 4]
     joiner = _IdJoiner()
@@ -65,21 +64,20 @@ def r1_remove(frag: Fragment, ci: int) -> Fragment:
     return _finish(frag, rest, joiner)
 
 
+def r1_add_sites(frag: Fragment) -> list[tuple]:
+    """A kink of each chirality on every edge, or on edge 0 of the bare circle."""
+    edges = frag.edges() or ([0] if frag.free_loops == 1 else [])
+    return [("r1+", e, chirality) for e in edges for chirality in (1, -1)]
+
+
 def r1_add(frag: Fragment, edge: int, chirality: int) -> Fragment:
-    if chirality not in (1, -1):
-        raise InapplicableMove(f"chirality {chirality!r} is not 1 or -1")
-    try:
-        q = frag._slots[1].index((edge, 1))
-    except ValueError:
-        if frag.free_loops == 1 and not frag.crossings and edge == 0:
-            # Kink on the bare circle: one big arc plus the curl loop.
-            a, g = 1, 2
-            ends = (a, a, g, g) if chirality > 0 else (a, g, g, a)
-            return _rebuild(frag, [Crossing(ends)], frag.legs, 0)
-        raise InapplicableMove(f"edge {edge} not present") from None
+    """Add the kink of the ``r1_add_sites`` entry ("r1+", edge, chirality)."""
+    if not frag.crossings and not frag.legs:
+        # Kink on the bare circle: one big arc plus the curl loop.
+        return _rebuild(frag, [Crossing((1, 1, 2, 2) if chirality > 0 else (1, 2, 2, 1))], (), 0)
     fresh = frag.max_edge_id() + 1
     b, g = fresh, fresh + 1
-    crossings, legs = frag._with_ends({q: b})
+    crossings, legs = frag._with_ends({frag._slots[1].index((edge, 1)): b})
     crossings.append(Crossing((edge, b, g, g) if chirality > 0 else (edge, g, g, b)))
     return _rebuild(frag, crossings, tuple(legs), frag.free_loops)
 
@@ -136,14 +134,12 @@ def r2_add_sites(frag: Fragment) -> list[tuple]:
 
 
 def r2_add(frag: Fragment, e: int, de: int, f: int, df: int, over: bool) -> Fragment:
+    """Push e across f at the ``r2_add_sites`` entry ("r2+", e, de, f, df, over)."""
     # The ends where the darts (e, de) and (f, df) arrive get the new flanks.
     dart = frag._slots[1]
-    ends = (e, 1 - de), (f, 1 - df)
-    if e == f or ends[0] not in dart or ends[1] not in dart:
-        raise InapplicableMove("R2 push needs two distinct existing edges")
     fresh = frag.max_edge_id() + 1
     a2, b2, m, w = fresh, fresh + 1, fresh + 2, fresh + 3
-    crossings, legs = frag._with_ends({dart.index(ends[0]): a2, dart.index(ends[1]): b2})
+    crossings, legs = frag._with_ends({dart.index((e, 1 - de)): a2, dart.index((f, 1 - df)): b2})
     # Face walks keep the face on the right, so the two strands run
     # antiparallel along the face: e dips across f with flanks wired as
     # (e=a1) -cW- m -cE- a2 and (f=b1) -cE- w -cW- b2.
@@ -199,7 +195,7 @@ def triangle_slide(frag: Fragment, c1: int, c2: int, c3: int,
     isotopy or an order-3 move depends only on the pattern at the corners.
     The site is an entry of ``triangle_slide_sites`` without its tag.
     """
-    return _built(frag, _slide_records(frag, c1, c2, c3, x12, x23, x31))
+    return _rebuild(frag, _slide_records(frag, c1, c2, c3, x12, x23, x31))
 
 
 def _slide_records(frag: Fragment, c1: int, c2: int, c3: int,
@@ -224,28 +220,19 @@ def _switched(frag: Fragment, ci: int) -> tuple[Crossing, ...]:
     return frag.crossings[:ci] + (frag.crossings[ci].mirrored(),) + frag.crossings[ci + 1:]
 
 
-def _built(frag: Fragment, crossings: tuple[Crossing, ...]) -> Fragment:
-    """Build frag with new crossing records and check its edge pairing."""
-    out = _rebuild(frag, crossings)
-    out.check_edge_pairing()
-    return out
-
-
 # -- scripts ------------------------------------------------------------------
 
 # Each script entry's field types after the tag, and where it applies.  Only
 # the R2 over flag is a bool: JSON true and 1.0 equal 1 but are no index or
-# edge id.  The site finders are the one definition of where a move applies:
-# an R2 removal or a triangle slide applies only as an entry its finder lists,
-# which also checks an r3/delta label against the corner pattern, and an R2
-# push only on two darts of one face walk, the pairs ``r2_add_sites`` lists.
-# An R1 removal (``r1_remove`` tests the kink) or a switch needs its crossing,
-# and an R1 addition applies on any edge.
+# edge id.  The site finders are the one definition of where a move applies,
+# checked here once: an entry applies only where its finder lists it (which
+# also checks an r3/delta label against the corner pattern), an R2 push also
+# with its two darts in reversed order, and a switch on any crossing.
 _MOVES = {
-    "r1-": ((int,), lambda frag, ci: 0 <= ci < frag.n_crossings),
-    "r1+": ((int, int), lambda frag, e, chirality: True),
+    "r1-": ((int,), lambda frag, ci: ("r1-", ci) in r1_removal_sites(frag)),
+    "r1+": ((int, int), lambda frag, *site: ("r1+", *site) in r1_add_sites(frag)),
     "r2-": ((int,) * 4, lambda frag, *site: ("r2-", *site) in r2_removal_sites(frag)),
-    "r2+": ((int,) * 4 + (bool,), lambda frag, e, de, f, df, over: any(
+    "r2+": ((int,) * 4 + (bool,), lambda frag, e, de, f, df, over: e != f and any(
         (e, de) in walk and (f, df) in walk for walk in frag.face_walks())),
     "r3": ((int,) * 6, lambda frag, *site: ("r3", *site) in triangle_slide_sites(frag, "r3")),
     "delta": ((int,) * 6,
@@ -292,20 +279,21 @@ class _Explorer:
     tried.  ``steps(fragment)`` yields ``(entries, base, records)``: a
     step's script entries, the fragment its last entry (a rewrite or slide,
     which keeps legs and free loops) applies to, and the crossing records
-    after it.  Each step is one expansion, counted only once the budget
-    allows it; the walk stops once ``budget`` expansions are spent, or once
-    the frontier is empty, which sets ``exhausted``.  ``reduce(raw)`` returns
-    ``(fragment, extra_script)`` or ``None`` to reject the neighbour.  The
-    frontier is one heap, ranked by arrival (FIFO), or by ``(score(fragment),
-    n_crossings, arrival)`` when ``score`` is given.  A state is pushed after
-    it is yielded, so a caller that stops at its goal never pays for scoring it.
+    after it, which only permute ends and so are built with no check.  Each
+    step is one expansion, counted only once the budget allows it; the walk
+    stops once ``budget`` expansions are spent, or once the frontier is
+    empty, which sets ``exhausted``.  ``reduce(raw)`` returns ``(fragment,
+    extra_script)`` or ``None`` to reject the neighbour.  The frontier is one
+    heap, ranked by arrival (FIFO), or by ``(score(fragment), n_crossings,
+    arrival)`` when ``score`` is given.  A state is pushed after it is
+    yielded, so a caller that stops at its goal never pays for scoring it.
 
     A neighbour whose exact state (records, legs and free loops) was already
-    reached is skipped before it is built by ``_built``, reduced and keyed.
-    Reduction is deterministic in that state, so the first visit already
-    either rejected it or put its key into ``seen``: a repeat could only be
-    discarded, and since its expansion is counted first, scripts, keys and
-    expansion counts are the same as without the skip.
+    reached is skipped before it is built, reduced and keyed.  Reduction is
+    deterministic in that state, so the first visit already either rejected
+    it or put its key into ``seen``: a repeat could only be discarded, and
+    since its expansion is counted first, scripts, keys and expansion counts
+    are the same as without the skip.
     """
 
     def __init__(self, start: Fragment, script: Script,
@@ -343,12 +331,8 @@ class _Explorer:
                 state = (records, base.legs, base.free_loops)
                 if state in reached:
                     continue
-                try:
-                    nxt = _built(base, records)
-                except MalformedDiagram:
-                    continue
                 reached.add(state)
-                reduced = self.reduce(nxt)
+                reduced = self.reduce(_rebuild(base, records))
                 if reduced is None:
                     continue
                 nxt, extra = reduced
@@ -408,9 +392,7 @@ def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
     """Apply R1/R2 removals until none remain; returns the result and script."""
     script: Script = []
     while True:
-        sites = r1_removal_sites(frag)
-        if not sites:
-            sites = r2_removal_sites(frag)
+        sites = r1_removal_sites(frag) or r2_removal_sites(frag)
         if not sites:
             return frag, script
         # A listed site needs no check: apply it directly.
@@ -443,17 +425,9 @@ def random_perturb(d: Diagram, steps: int, seed: int, max_extra: int = 6) -> Dia
     rng = random.Random(seed)
     base = d.n_crossings
     for _ in range(steps):
-        candidates: list[tuple] = []
-        candidates.extend(r1_removal_sites(d))
-        candidates.extend(r2_removal_sites(d))
-        candidates.extend(triangle_slide_sites(d, "r3"))
+        candidates = r1_removal_sites(d) + r2_removal_sites(d) + triangle_slide_sites(d, "r3")
         if d.n_crossings < base + max_extra:
-            for e in d.edges():
-                candidates.append(("r1+", e, 1))
-                candidates.append(("r1+", e, -1))
-            candidates.extend(r2_add_sites(d))
-        if not d.crossings:
-            candidates = [("r1+", 0, 1), ("r1+", 0, -1)]
+            candidates += r1_add_sites(d) + r2_add_sites(d)
         if not candidates:
             break
         # A listed site needs no check: apply it directly.

@@ -74,7 +74,7 @@ def _search(d: Diagram, steps, at_goal, budget: int, score=None) -> SearchResult
     """
     simplify_once = _simplifier(R3_BUDGET)
     start, start_script = simplify_once(d)
-    cap = max(start.n_crossings, d.n_crossings) + CAP_EXTRA
+    cap = d.n_crossings + CAP_EXTRA  # simplifying never adds crossings
 
     def reduce(nxt: Diagram):
         nxt, extra = simplify_once(nxt)

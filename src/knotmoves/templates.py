@@ -38,6 +38,7 @@ from typing import Callable, Container, Iterable, Sequence
 from .diagram import Crossing, Diagram, Fragment, _IdJoiner
 from .moves import (InapplicableMove, Script, _Explorer, _r3_steps, _rewrite_steps, _rewrites,
                     apply_move, greedy_reduce, replay)
+from .search import CAP_EXTRA
 from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
                       tangle_key)
 
@@ -282,8 +283,6 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
             flanks[(ci, i)] = (chain[j], chain[j + 1])
 
     cut, _ = d._with_ends(new_ends)
-    # Host edges keep their ids under new ones: the basepoint is the host's lowest.
-    lowest = d.edges()[0] if d.crossings else None
     blobs = [blob.shifted(base + (ci + 1) * _ID_BLOCK) for ci, blob in enumerate(blobs)]
 
     def member(present: Container[int], swaps: dict[int, Crossing]) -> Diagram:
@@ -307,9 +306,8 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
                 joiner.join(first, blob.legs[2 * finger + 1])
                 joiner.join(second, blob.legs[2 * finger])
         crossings = joiner.apply(crossings)
-        out = Diagram(crossings, joiner.loops if not crossings else 0,
-                      basepoint=lowest, check=False)
-        out.validate()
+        # Host ids < pieces < blobs: the default basepoint is the host's lowest edge.
+        out = Diagram(crossings, joiner.loops if not crossings else 0)
         if not out.is_planar():
             raise InvalidSite("insertion would leave the plane")
         return out
@@ -323,12 +321,11 @@ def apply_chord(d: Diagram, chord: Chord) -> Diagram:
         return _glue_many(d, [chord])({0}, {})
     if chord.kind not in ("switch", "delta"):
         raise InvalidSite(f"unknown chord kind {chord.kind!r}")
-    try:  # a delta chord applies only where triangle_slide_sites lists a flip
-        out = apply_move(d, (chord.kind, *chord.sites))
+    # A switch, or a flip where triangle_slide_sites lists it, keeps one component.
+    try:
+        return apply_move(d, (chord.kind, *chord.sites))  # type: ignore[return-value]
     except InapplicableMove as exc:
         raise InvalidSite(str(exc)) from None
-    out.validate()
-    return out  # type: ignore[return-value]
 
 
 def check_disjoint(d: Diagram, chords: Sequence[Chord]) -> None:
@@ -528,7 +525,7 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
     goal, _ = simplify_tangle(template.after)
     goal_key = tangle_key(goal)
     start, start_script = simplify_tangle(template.before)
-    cap = template.before.n_crossings + 4
+    cap = template.before.n_crossings + CAP_EXTRA
 
     def steps(t: Fragment):
         yield from _rewrite_steps(t, l)

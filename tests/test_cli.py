@@ -172,6 +172,30 @@ def test_verify_command_schema_error(tmp_path):
     cfg.write_text("{not json")
     code, _, _ = run("verify", "--config", str(cfg))
     assert code == 2
+    cfg.write_text("[]")  # valid JSON, but no object
+    code, records, err = run("verify", "--config", str(cfg))
+    assert (code, records) == (2, []) and "Traceback" not in err
+
+
+_VT = {"suite": "verify_type", "phi": "v2", "orders": [2, 2], "trials": 1}
+
+
+@pytest.mark.parametrize("spec", [
+    {**_VT, "orders": [5]},
+    {**_VT, "phi": "v9"},
+    {k: v for k, v in _VT.items() if k != "trials"},
+    {"suite": "move_invariance_report", "l": 4},
+    ["verify_type"],
+], ids=["orders", "phi", "trials", "l", "not-a-dict"])
+def test_verify_malformed_suite_spec_exit_2(tmp_path, spec):
+    # A good suite first: every spec is checked before any output.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [{"suite": "group_checks", "pairs": 1}, spec]}))
+    proc = subprocess.run(CLI + ["verify", "--config", str(cfg)], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_verify_command_small_run(tmp_path):

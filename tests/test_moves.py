@@ -20,8 +20,27 @@ def test_r1_add_remove_round_trip(unknot, left_trefoil):
 
 
 def test_r1_remove_requires_kink(left_trefoil):
+    with pytest.raises(InapplicableMove, match="no r1- site"):
+        apply_move(left_trefoil, ("r1-", 0))
+
+
+@pytest.mark.parametrize("entry", [
+    ("r1+", 99, 1),  # no edge 99
+    ("r1+", 1, 0),
+    ("r1+", 1, 2),
+    ("r1+", 1, True),
+    ("r2+", 1, 0, 1, 0, True),  # e == f: a dart lies on its own face walk
+])
+def test_apply_move_refuses_unlisted_r1_and_r2_sites(left_trefoil, entry):
+    # The move functions check nothing: apply_move is the one check.
     with pytest.raises(InapplicableMove):
-        r1_remove(left_trefoil, 0)
+        apply_move(left_trefoil, entry)
+
+
+def test_random_perturb_keeps_the_crossing_cap_on_the_unknot(unknot):
+    # max_extra=0 allows no new crossing, on the bare circle too.
+    assert random_perturb(unknot, 1, seed=1, max_extra=0).n_crossings == 0
+    assert random_perturb(unknot, 1, seed=1, max_extra=1).n_crossings == 1
 
 
 def test_r2_add_remove_round_trip(left_trefoil):

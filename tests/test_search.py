@@ -7,7 +7,7 @@ import pytest
 from knotmoves import moves, search
 from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
-from knotmoves.moves import (InapplicableMove, _built, _canonical_key, _Explorer, _r3_steps,
+from knotmoves.moves import (InapplicableMove, _canonical_key, _Explorer, _r3_steps, _rebuild,
                              _rewrite_steps, greedy_reduce, random_perturb, replay, simplify)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
 from knotmoves.templates import builtin_templates
@@ -119,7 +119,7 @@ def test_each_step_carries_what_its_entries_build(small_knots):
     counts = {"switch": 0, "r3": 0, "delta": 0, "r2+": 0, "renamed leg": 0}
     for name, frag, steps in cases:
         for entries, base, records in steps(frag):
-            assert state(_built(base, records)) == state(replay(frag, entries)), (name, entries)
+            assert state(_rebuild(base, records)) == state(replay(frag, entries)), (name, entries)
             counts[entries[0][0]] += 1
             counts["renamed leg"] += base.legs != frag.legs
     assert all(counts.values()), counts  # every kind of step is covered
@@ -354,11 +354,14 @@ def test_back_to_back_searches_keep_nothing(monkeypatch, small_knots):
                                            (lambda f: _rewrite_steps(f, 3), greedy_reduce)])
 def test_no_slide_state_built_twice(monkeypatch, knots, steps, reduce):
     built, slides = [], []
-    build, slide_records = moves._built, moves._slide_records
+    build, slide_records = moves._rebuild, moves._slide_records
 
-    def count_built(frag, crossings):
-        built.append((crossings, frag.legs, frag.free_loops))
-        return build(frag, crossings)
+    def count_built(frag, crossings, *rest):
+        # The explorer builds from tuple records; the moves it reduces with
+        # rebuild from lists.
+        if isinstance(crossings, tuple):
+            built.append((crossings, frag.legs, frag.free_loops))
+        return build(frag, crossings, *rest)
 
     def count_records(frag, *site):
         slides.append(site)
@@ -368,7 +371,7 @@ def test_no_slide_state_built_twice(monkeypatch, knots, steps, reduce):
         start = random_perturb(knots[name], 10, seed=4)
         ref = list(ReferenceExplorer(start, [], _canonical_key, steps, reduce, 300))
         with monkeypatch.context() as m:
-            m.setattr(moves, "_built", count_built)
+            m.setattr(moves, "_rebuild", count_built)
             m.setattr(moves, "_slide_records", count_records)
             walk = _Explorer(start, [], _canonical_key, steps, reduce, 300)
             got = list(walk)
