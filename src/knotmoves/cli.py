@@ -153,7 +153,7 @@ def cmd_invariants(args, out) -> int:
 
 
 def _bases(spec: dict) -> dict[str, Diagram]:
-    return corpus(max_crossings=spec.get("max_crossings", 7), include_unknot=True)
+    return corpus(max_crossings=spec["max_crossings"], include_unknot=True)
 
 
 def _suite_verify_type(spec: dict, out) -> bool:
@@ -173,16 +173,14 @@ def _suite_verify_type(spec: dict, out) -> bool:
 def _suite_move_invariance(spec: dict, out) -> bool:
     bases = _bases(spec)
     names = sorted(bases)
-    total = spec.get("moves", 100)
-    per = max(1, spec.get("chain", 5))
-    seed = spec["seed"]
+    total, per, seed = spec["moves"], spec["chain"], spec["seed"]
     done = 0
     ok = True
     idx = 0
     while done < total:
         name = names[idx % len(names)]
         idx += 1
-        rep = move_invariance_report(bases[name], spec.get("l", 3),
+        rep = move_invariance_report(bases[name], spec["l"],
                                  min(per, total - done), seed + idx)
         made = sum("delta" in s for s in rep["steps"])
         done += made or 1  # a chain that made no move still counts, or it could stall
@@ -197,7 +195,7 @@ def _suite_move_invariance(spec: dict, out) -> bool:
 
 def _suite_group(spec: dict, out) -> bool:
     bases = _bases(spec)
-    rep = group_checks(bases, pairs=spec.get("pairs", 50), seed=spec["seed"])
+    rep = group_checks(bases, pairs=spec["pairs"], seed=spec["seed"])
     _emit(out, {"record": "group_checks", "pass": rep["pass"],
                 "v2_inverse_pairs": len(rep["inverses"]["v2_level"]),
                 "v2v3_inverse_pairs": len(rep["inverses"]["v2v3_level"])})
@@ -206,7 +204,7 @@ def _suite_group(spec: dict, out) -> bool:
 
 def _suite_searches(spec: dict, out) -> bool:
     bases = _bases(spec)
-    budget = spec.get("budget", DEFAULT_BUDGET)
+    budget = spec["budget"]
     trefoil = bases["3_1"]
     res = bfs_path(trefoil, Diagram.unknot(), {"B2"}, budget)
     ok = res.found and res.moves_used == 1
@@ -220,7 +218,7 @@ def _suite_searches(spec: dict, out) -> bool:
                     "found": r.found, "moves_used": r.moves_used,
                     "expansions": r.expansions, "note": r.note})
     rate = hits / len(bases) if bases else 1.0
-    need = spec.get("require_rate", 0.8)
+    need = spec["require_rate"]
     _emit(out, {"record": "search-summary", "delta_unknot_rate": rate,
                 "required": need, "pass": rate >= need and ok})
     return ok and rate >= need
@@ -235,20 +233,11 @@ def _suite_certificates(spec: dict, out) -> bool:
         _emit(out, {"record": "certificate", "template": tpl.name, "k": k,
                     "brunnian": good})
         ok = ok and good
-    script = realize_by_lower(templates[3], 2, spec.get("budget", 50_000))
+    script = realize_by_lower(templates[3], 2, spec["budget"])
     good = script is not None and replay_tangle_script(templates[3], script)
     _emit(out, {"record": "certificate", "template": "triangle-flip-by-order-2",
                 "found": script is not None, "replays": good})
     return ok and good
-
-
-_SUITES = {
-    "verify_type": _suite_verify_type,
-    "move_invariance_report": _suite_move_invariance,
-    "group_checks": _suite_group,
-    "searches": _suite_searches,
-    "certificates": _suite_certificates,
-}
 
 
 def _among(x, options) -> bool:
@@ -256,21 +245,46 @@ def _among(x, options) -> bool:
     return any(type(x) is type(o) and x == o for o in options)
 
 
-def _spec_problem(spec) -> str | None:
-    """Why a suite spec cannot run, or None."""
+def _int(least: int) -> tuple:
+    """(test, message) of a field that must be an int >= least."""
+    return lambda x: type(x) is int and x >= least, f"an integer >= {least}"
+
+
+_MAX_CROSSINGS = {"max_crossings": (7, *_int(0))}
+
+# suite -> (runner, {field: (default, test, message)}); a field whose default
+# is None must be given.  "{orders}" in a message names the template orders.
+_SUITES = {
+    "verify_type": (_suite_verify_type, {
+        "phi": (None, lambda x: _among(x, INVARIANTS), f"one of {sorted(INVARIANTS)}"),
+        "orders": (None, lambda x: isinstance(x, list) and all(
+            _among(k, builtin_templates()) for k in x), "a list of template orders {orders}"),
+        "trials": (None, *_int(0)), **_MAX_CROSSINGS}),
+    "move_invariance_report": (_suite_move_invariance, {
+        "l": (3, lambda x: _among(x, (2, 3)), "2 or 3"),
+        "moves": (100, *_int(0)), "chain": (5, *_int(1)), **_MAX_CROSSINGS}),
+    "group_checks": (_suite_group, {"pairs": (50, *_int(0)), **_MAX_CROSSINGS}),
+    "searches": (_suite_searches, {
+        "budget": (DEFAULT_BUDGET, *_int(0)),
+        "require_rate": (0.8, lambda x: type(x) in (int, float) and 0 <= x <= 1,
+                         "a number from 0 to 1"),
+        "max_crossings": (7, *_int(3))}),  # the B2 case starts from the trefoil
+    "certificates": (_suite_certificates, {"budget": (50_000, *_int(0))}),
+}
+
+
+def _suite_spec(spec, seed) -> tuple[dict, str | None]:
+    """The spec with every field its suite reads, defaults filled in (the
+    seed from the config's), and why it cannot run, or None."""
     if not isinstance(spec, dict) or not _among(spec.get("suite"), _SUITES):
-        return f"suite must be one of {sorted(_SUITES)}"
-    if spec["suite"] == "verify_type":
-        orders, trials = spec.get("orders"), spec.get("trials")
-        if not _among(spec.get("phi"), INVARIANTS):
-            return f"phi must be one of {sorted(INVARIANTS)}"
-        if not isinstance(orders, list) or not all(_among(k, builtin_templates()) for k in orders):
-            return f"orders must be a list of template orders {sorted(builtin_templates())}"
-        if type(trials) is not int or trials < 0:
-            return "trials must be an integer >= 0"
-    if spec["suite"] == "move_invariance_report" and not _among(spec.get("l", 3), (2, 3)):
-        return "l must be 2 or 3"
-    return None
+        return {}, f"suite must be one of {sorted(_SUITES)}"
+    filled = {"suite": spec["suite"]}
+    fields = {"seed": (seed, lambda x: type(x) is int, "an integer"), **_SUITES[spec["suite"]][1]}
+    for field, (default, test, message) in fields.items():
+        filled[field] = spec.get(field, default)
+        if not test(filled[field]):
+            return {}, f"{field} must be " + message.format(orders=sorted(builtin_templates()))
+    return filled, None
 
 
 def cmd_verify(args, out) -> int:
@@ -288,19 +302,18 @@ def cmd_verify(args, out) -> int:
     if not isinstance(suites, list):
         print("config must be an object with a list under 'suites'", file=sys.stderr)
         return 2
+    specs = []
     for spec in suites:
-        problem = _spec_problem(spec)
+        filled, problem = _suite_spec(spec, config.get("seed", 0))
         if problem:
             print(f"bad suite spec {spec!r}: {problem}", file=sys.stderr)
             return 2
+        specs.append(filled)
     _header(out, seed=config.get("seed"), config_text=config_text)
     all_ok = True
-    for spec in suites:
-        kind = spec["suite"]
-        if "seed" not in spec:
-            spec = {**spec, "seed": config.get("seed", 0)}
-        ok = _SUITES[kind](spec, out)
-        _emit(out, {"record": "suite-result", "suite": kind, "pass": ok})
+    for spec in specs:
+        ok = _SUITES[spec["suite"]][0](spec, out)
+        _emit(out, {"record": "suite-result", "suite": spec["suite"], "pass": ok})
         all_ok = all_ok and ok
     _emit(out, {"record": "verdict", "pass": all_ok})
     return 0 if all_ok else 1
@@ -311,7 +324,8 @@ def cmd_family(args, out) -> int:
         base = _parse_code(args.base)
         orders = tuple(int(x) for x in args.orders.split(",")) if args.orders else ()
         if not set(orders) <= builtin_templates().keys():
-            raise ValueError(f"orders must be 2, 3 or 4, got {args.orders}")
+            raise ValueError(f"orders must be template orders {sorted(builtin_templates())}, "
+                             f"got {args.orders}")
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2

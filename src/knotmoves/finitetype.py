@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import gauss
 from .diagram import Diagram, MalformedDiagram
 from .moves import InapplicableMove
-from .templates import (Chord, InvalidSite, SingularFamily, apply_chord, family,
+from .templates import (Chord, InvalidSite, SingularFamily, _clash, apply_chord, family,
                         random_insert_chord, rewrite_chords)
 
 INVARIANTS = {"v2": gauss.v2, "v3": gauss.v3}
@@ -34,35 +34,24 @@ def random_family(base: Diagram, orders: tuple[int, ...],
     """Sample disjoint chords of the given orders on `base`; None on failure.
 
     An order-2 chord is a free switch with chance 1/2, an order-3 chord a
-    free flip with chance 1/4, else an insertion.  Rewrites may share
-    through-edges; insertion sites must avoid every other chord's edges.
+    free flip with chance 1/4, else an insertion.  A rewrite is drawn from
+    those that clash with no chord drawn before (``templates._clash``), and
+    an insertion's sites avoid the rewrites' edges.
     """
     chords: list[Chord] = []
-    used_crossings: set[int] = set()
-    rewrite_edges: set[int] = set()
-    insert_edges: set[int] = set()
     for idx, k in enumerate(orders):
         chord = None
         chance = REWRITE_CHANCE.get(k, 0)
         if chance and base.n_crossings and rng.random() < chance:
-            free = []
-            for c in rewrite_chords(base, k):
-                edges, cis = c.touched(base)
-                if not (cis & used_crossings or edges & insert_edges):
-                    free.append(c)
+            free = [c for c in rewrite_chords(base, k)
+                    if not any(_clash(base, c, o) for o in chords)]
             if free:
                 chord = free[rng.randrange(len(free))]
         if chord is None:
-            chord = random_insert_chord(base, k, rng, rewrite_edges,
-                                        offset_base=4 * idx)
+            rewrite_edges = {e for o in chords if o.kind != "insert" for e in o.touched(base)[0]}
+            chord = random_insert_chord(base, k, rng, rewrite_edges, offset_base=4 * idx)
         if chord is None:
             return None
-        e, x = chord.touched(base)
-        if chord.kind == "insert":
-            insert_edges |= e
-        else:
-            used_crossings |= x
-            rewrite_edges |= e
         chords.append(chord)
     fam = SingularFamily(base, tuple(chords))
     try:

@@ -19,12 +19,13 @@ structure (a crossing switch, a triangle flip) or by cutting the host at k
 co-facial sites and gluing a finger blob into the face.  Sites are
 (edge, offset, side) triples listed in the cyclic order in which the face
 walk visits them; the side flag names the face via the dart (edge, side).
-Every insertion, single (``apply_chord``) or several at once (``band_sum``),
-goes through one gluing routine, ``_glue_many``, which checks the sites,
-cuts the host and numbers the new edges once, and returns a builder that
-splices members from that plan.  A ``family`` keeps one such plan: its
-2^l members are spliced from the cut of the full chord set, with left-out
-insertions rejoined and left-out rewrites swapped back.
+Every chord goes through one pipeline, ``_glue_many``: it checks that no two
+chords of a family clash, applies the rewrites through ``apply_move``, cuts
+the host and numbers the new edges once, and returns a builder that splices
+any member from that plan.  A ``family`` keeps one such plan: its 2^l
+members are spliced from the cut of the full chord set, with left-out
+insertions rejoined and left-out rewrites swapped back; ``band_sum`` is the
+member that holds every chord, and ``apply_chord`` the band sum of one.
 """
 
 from __future__ import annotations
@@ -201,23 +202,63 @@ class Chord:
         return cls(k, kind, tuple(tuple(s) if shape[2] else s for s in sites), variant)
 
 
-def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
-    """Check the sites, cut the host at every cut point and shift every blob,
-    once; return ``member(present, swaps)``, which splices one diagram.
+def _clash(d: Diagram, a: Chord, b: Chord) -> str | None:
+    """What two chords of one family share that they may not, or None.
 
-    In it a chord whose index is in ``present`` joins its blob legs to the
-    flanks of its sites, any other joins each finger's two flanks back
-    together, and ``swaps`` replaces crossing records off the cut edges.
-    Every member is validated and tested for planarity.
+    Crossing regions must be disjoint.  Switching or sliding a crossing
+    rotates its record, which scrambles the face darts used to address
+    insertion sites, so insertion edges must avoid rewrite chords' edges;
+    insertions may share an edge with each other (the glue rejects
+    coincident cut points and interleaved site groups separately).
+    """
+    (ea, xa), (eb, xb) = a.touched(d), b.touched(d)
+    if xa & xb:
+        return "a crossing"
+    if (a.kind == "insert") != (b.kind == "insert") and ea & eb:
+        return "an edge"
+    return None
+
+
+def _glue_many(d: Diagram, chords: Sequence[Chord]) -> Callable[[Container[int]], Diagram]:
+    """The one chord pipeline: check a family's chords, apply its rewrites,
+    cut the host and shift every blob, once; return ``member(subset)``, which
+    splices the member holding the chords whose indices are in ``subset``.
+
+    No two chords may clash (``_clash``).  Each rewrite (a switch or a flip
+    on d's own crossings) applies through ``apply_move``, whose refusal is
+    reported as ``InvalidSite``.  Rewrites keep every edge id and change only
+    their own crossings' records, which insertion edges avoid, so the host
+    takes every rewrite before it is cut and a member swaps back the base
+    records of the rewrites it leaves out.  The insertions, sorted by their
+    sites, are checked and glued into the host's faces: a member joins the
+    blob legs of each insertion it holds to the flanks of its sites, and
+    joins each finger's two flanks back together for any other.  Every
+    member that glues is validated and tested for planarity.
 
     New edge ids lie above the host's, in blocks of ``_ID_BLOCK``: the first
     block names the piece after each cut point, in cut-point order, and
-    block j + 1 holds the blob of the j-th chord.  So host edges < cut pieces
-    < blobs, in chord order; a rejoined piece keeps the id of the piece it
-    starts from, so a member's ids rank as if only its chords were glued.
-    Chords may share host edges as long as their cut points differ and their
-    site groups do not interleave around any face.
+    block j + 1 holds the blob of the j-th insertion in site order.  So host
+    edges < cut pieces < blobs, in that order; a rejoined piece keeps the id
+    of the piece it starts from, so a member's ids rank as if only its
+    chords were glued.  Insertions may share host edges as long as their cut
+    points differ and their site groups do not interleave around any face.
     """
+    for (i, a), (j, b) in combinations(enumerate(chords), 2):
+        shared = _clash(d, a, b)
+        if shared:
+            raise InvalidSite(f"chords {i} and {j} share {shared}")
+    host, undo = d, {}
+    for i, c in enumerate(chords):
+        if c.kind != "insert":
+            try:
+                host = apply_move(host, (c.kind, *c.sites))  # type: ignore[assignment]
+            except InapplicableMove as exc:
+                raise InvalidSite(str(exc)) from None
+            undo[i] = {ci: d.crossings[ci] for ci in c.touched(d)[1]}
+    # the canonical chord order, which numbers the blobs
+    glue_order = sorted((i for i, c in enumerate(chords) if c.kind == "insert"),
+                        key=lambda i: chords[i].sites)
+    inserts = [chords[i] for i in glue_order]
     blobs = [builtin_templates()[c.k].insertion(c.variant) for c in inserts]
     for c, blob in zip(inserts, blobs):
         if len(c.sites) != blob.finger_count():
@@ -227,10 +268,10 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
     cut_points = sorted((s[0], s[1]) for _, _, s in all_sites)
     if len(set(cut_points)) != len(cut_points):
         raise InvalidSite("duplicate cut points")
-    base = (d.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
+    base = (host.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
     piece_ids = {pt: base + 1 + i for i, pt in enumerate(cut_points)}
     # dart -> (face index, position in the face walk)
-    where = {dart: (wi, pos) for wi, walk in enumerate(d.face_walks())
+    where = {dart: (wi, pos) for wi, walk in enumerate(host.face_walks())
              for pos, dart in enumerate(walk)}
 
     def walk_key(entry):
@@ -267,41 +308,44 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
             if runs > 2:
                 raise InvalidSite("insertions interleave around a face")
 
-    dart = d._slots[1]
+    dart = host._slots[1]
     new_ends: dict[int, int] = {}
     # site -> (piece before it, piece after it), in the order of the host edge
     flanks: dict[tuple[int, int], tuple[int, int]] = {}
     for edge, run in groupby(sorted(all_sites, key=lambda e: e[2][:2]), lambda e: e[2][0]):
         entries = list(run)
         chain = [piece_ids[(edge, site[1])] for _, _, site in entries]
-        if d.crossings:
+        if host.crossings:
             # The edge keeps the end that dart (edge, 0) leaves from; the last
             # piece takes the end that it arrives at.
             new_ends[dart.index((edge, 1))] = chain[-1]
-        chain.insert(0, edge if d.crossings else chain[-1])
+        chain.insert(0, edge if host.crossings else chain[-1])
         for j, (ci, i, _site) in enumerate(entries):
             flanks[(ci, i)] = (chain[j], chain[j + 1])
 
-    cut, _ = d._with_ends(new_ends)
+    cut, _ = host._with_ends(new_ends)
     blobs = [blob.shifted(base + (ci + 1) * _ID_BLOCK) for ci, blob in enumerate(blobs)]
 
-    def member(present: Container[int], swaps: dict[int, Crossing]) -> Diagram:
-        if not present and not swaps:
-            return d
+    def member(subset: Container[int]) -> Diagram:
+        present = [i in subset for i in glue_order]
+        swaps = [records for i, records in undo.items() if i not in subset]
+        if not any(present) and not swaps:
+            return host
         crossings = list(cut)
-        for ci, record in swaps.items():
-            crossings[ci] = record
+        for records in swaps:
+            for ci, record in records.items():
+                crossings[ci] = record
         joiner = _IdJoiner()
-        for ci, (blob, group) in enumerate(zip(blobs, groups)):
-            if ci not in present:
-                for _, i, _site in group:
+        for blob, group, glued in zip(blobs, groups, present):
+            if not glued:
+                for ci, i, _site in group:
                     joiner.join(*flanks[(ci, i)])
                 continue
             crossings.extend(blob.crossings)
             # Fingers attach to the walk-ordered sites in reversed order, each
             # with its legs swapped; fixed by the planarity calibration in the
             # test suite.
-            for finger, (_, i, site) in enumerate(reversed(group)):
+            for finger, (ci, i, site) in enumerate(reversed(group)):
                 first, second = flanks[(ci, i)] if site[2] == 0 else flanks[(ci, i)][::-1]
                 joiner.join(first, blob.legs[2 * finger + 1])
                 joiner.join(second, blob.legs[2 * finger])
@@ -317,43 +361,14 @@ def _glue_many(d: Diagram, inserts: Sequence[Chord]) -> Callable[..., Diagram]:
 
 def apply_chord(d: Diagram, chord: Chord) -> Diagram:
     """Apply one chord; the diagram is changed only at the chord's sites."""
-    if chord.kind == "insert":
-        return _glue_many(d, [chord])({0}, {})
-    if chord.kind not in ("switch", "delta"):
-        raise InvalidSite(f"unknown chord kind {chord.kind!r}")
-    # A switch, or a flip where triangle_slide_sites lists it, keeps one component.
-    try:
-        return apply_move(d, (chord.kind, *chord.sites))  # type: ignore[return-value]
-    except InapplicableMove as exc:
-        raise InvalidSite(str(exc)) from None
-
-
-def check_disjoint(d: Diagram, chords: Sequence[Chord]) -> None:
-    """Pairwise compatibility of chords within one family.
-
-    Crossing regions must be pairwise disjoint.  Switching or sliding a
-    crossing rotates its record, which scrambles the face darts used to
-    address insertion sites, so insertion edges must avoid rewrite chords'
-    edges; insertions may share an edge with each other (the glue rejects
-    coincident cut points and interleaved site groups separately).
-    """
-    touched = [c.touched(d) for c in chords]
-    for i in range(len(chords)):
-        ei, xi = touched[i]
-        for j in range(i + 1, len(chords)):
-            ej, xj = touched[j]
-            if xi & xj:
-                raise InvalidSite(f"chords {i} and {j} share a crossing")
-            if (chords[i].kind == "insert") != (chords[j].kind == "insert") \
-                    and ei & ej:
-                raise InvalidSite(f"chords {i} and {j} share an edge")
+    return band_sum(d, [chord])
 
 
 def band_sum(d: Diagram, chords: Iterable[Chord]) -> Diagram:
     """Apply pairwise disjoint chords; the order of application is immaterial.
 
-    This is K_full of the chords' family: rewrites apply first (they commute
-    with everything here), then all insertions are glued in a single pass.
+    This is K_full of the chords' family, the member of ``_glue_many``'s plan
+    that holds every chord.
     """
     return SingularFamily(d, tuple(chords))._plan[0]
 
@@ -372,31 +387,11 @@ class SingularFamily:
         return tuple(c.k for c in self.chords)
 
     @cached_property
-    def _plan(self) -> tuple[Diagram, Callable[[frozenset], Diagram]]:
+    def _plan(self) -> tuple[Diagram, Callable[[Container[int]], Diagram]]:
         """(K_full, member): the full band sum, glued and checked once, and
-        the builder that splices K_P for any subset P from the same plan.
-
-        Rewrites keep every edge id and change only their own crossings'
-        records, which insertion edges avoid (``check_disjoint``), so the host
-        takes every rewrite before it is cut and a member swaps back the base
-        records of the rewrites it leaves out.
-        """
-        check_disjoint(self.base, self.chords)
-        host, undo = self.base, {}
-        for i, c in enumerate(self.chords):
-            if c.kind != "insert":
-                host = apply_chord(host, c)
-                undo[i] = {ci: self.base.crossings[ci] for ci in c.touched(self.base)[1]}
-        # the canonical chord order, which numbers the blobs
-        inserts = sorted((i for i, c in enumerate(self.chords) if c.kind == "insert"),
-                         key=lambda i: self.chords[i].sites)
-        build = _glue_many(host, [self.chords[i] for i in inserts])
-
-        def member(subset: frozenset) -> Diagram:
-            swaps = {ci: record for i in undo.keys() - subset for ci, record in undo[i].items()}
-            return build({j for j, i in enumerate(inserts) if i in subset}, swaps)
-
-        return member(frozenset(range(len(self.chords)))), member
+        ``_glue_many``'s builder that splices K_P for any subset P."""
+        member = _glue_many(self.base, self.chords)
+        return member(range(len(self.chords))), member
 
     def to_json(self) -> dict:
         # raw records: chord sites refer to these edge ids, so the base must
@@ -459,7 +454,7 @@ def enumerate_sites(d: Diagram, k: int, cap: int = 512) -> list[Chord]:
     k=3) and insertion site tuples on each face, capped per call.
     """
     if k not in builtin_templates():
-        raise ValueError("builtin templates exist for k in {2, 3, 4}")
+        raise ValueError(f"builtin templates exist for k in {sorted(builtin_templates())}")
     chords = rewrite_chords(d, k)
     budget_left = cap
     for walk in d.face_walks():
@@ -491,7 +486,7 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
     the same edge at distinct points.
     """
     if k not in builtin_templates():
-        raise ValueError("builtin templates exist for k in {2, 3, 4}")
+        raise ValueError(f"builtin templates exist for k in {sorted(builtin_templates())}")
     used_edges = used_edges or set()
     walks = [w for w in d.face_walks()
              if any(e not in used_edges for e, _ in w)]

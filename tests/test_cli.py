@@ -9,6 +9,7 @@ import pytest
 
 from knotmoves import cli, finitetype
 from knotmoves.corpus import corpus
+from knotmoves.templates import builtin_templates
 
 CLI = [sys.executable, "-m", "knotmoves.cli"]
 
@@ -114,7 +115,8 @@ def test_family_single_chord_difference():
 def test_family_orders_without_a_template_exit_2(orders):
     code, records, err = run("family", "--base", "4 6 2", f"--orders={orders}")
     assert code == 2 and records == []
-    assert err.startswith("bad input: orders must be 2, 3 or 4") and "Traceback" not in err
+    want = f"bad input: orders must be template orders {sorted(builtin_templates())}"
+    assert err.startswith(want) and "Traceback" not in err
 
 
 def test_family_l0():
@@ -186,7 +188,15 @@ _VT = {"suite": "verify_type", "phi": "v2", "orders": [2, 2], "trials": 1}
     {k: v for k, v in _VT.items() if k != "trials"},
     {"suite": "move_invariance_report", "l": 4},
     ["verify_type"],
-], ids=["orders", "phi", "trials", "l", "not-a-dict"])
+    {"suite": "searches", "budget": "x"},
+    {"suite": "searches", "max_crossings": 2},
+    {"suite": "move_invariance_report", "max_crossings": -1, "moves": 1},
+    {"suite": "move_invariance_report", "chain": "x"},
+    {"suite": "searches", "require_rate": "x"},
+    {"suite": "certificates", "budget": -5},
+    {"suite": "group_checks", "pairs": -1},
+], ids=["orders", "phi", "trials", "l", "not-a-dict", "budget", "searches-max-crossings",
+        "max-crossings", "chain", "require-rate", "certificates-budget", "pairs"])
 def test_verify_malformed_suite_spec_exit_2(tmp_path, spec):
     # A good suite first: every spec is checked before any output.
     cfg = tmp_path / "cfg.json"

@@ -311,6 +311,30 @@ def test_glue_labelling_up_to_rank_is_golden(small_knots):
         "14acf87ed5eda215d4c0a9bd5393bc372e6ae4dc9ae1fa854e03f1bc8fe42042"
 
 
+def test_every_enumerated_chord_applies_as_golden(small_knots):
+    """apply_chord on every chord enumerate_sites lists for k = 2, 3, 4 on
+    the small corpus (the unknot included), edge ids replaced by rank and a
+    refusal recorded as None.  The digest was recorded when insertions and
+    rewrites still had their own branches in apply_chord."""
+    import hashlib
+
+    from knotmoves.templates import apply_chord, enumerate_sites
+
+    lines = []
+    for name in sorted(small_knots):
+        d = small_knots[name]
+        for k in (2, 3, 4):
+            for chord in enumerate_sites(d, k):
+                try:
+                    got = _ranked(apply_chord(d, chord))
+                except (InvalidSite, MalformedDiagram):
+                    got = None
+                lines.append(json.dumps([name, k, chord.to_json(), got]))
+    assert len(lines) == 22874
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "ca10f123d715806cf40d692d658103dece9e1b26f8c55fdc99d8e0e9fba4c87f"
+
+
 def _finger_order(d, chord):
     """The chord's site indices in the face-walk order its fingers attach by."""
     where = {dart: pos for walk in d.face_walks() for pos, dart in enumerate(walk)}
@@ -377,17 +401,17 @@ def test_each_draw_glues_its_full_set_once(monkeypatch):
     counts: Counter = Counter()
     glue, plan = templates._glue_many, templates.SingularFamily._plan.func
 
-    def counting_glue(d, inserts):
+    def counting_glue(d, chords):
         counts["glues"] += 1
         if not counts["planning"]:
-            return glue(d, inserts)
+            return glue(d, chords)
         counts["plan_glues"] += 1
-        build = glue(d, inserts)
+        member = glue(d, chords)
 
-        def counting_build(present, swaps):
-            counts["full" if len(present) == len(inserts) and not swaps else "part"] += 1
-            return build(present, swaps)
-        return counting_build
+        def counting_member(subset):
+            counts["full" if all(i in subset for i in range(len(chords))) else "part"] += 1
+            return member(subset)
+        return counting_member
 
     def counting_plan(self):
         counts["plans"] += 1
