@@ -275,11 +275,15 @@ _SUITES = {
 
 def _suite_spec(spec, seed) -> tuple[dict, str | None]:
     """The spec with every field its suite reads, defaults filled in (the
-    seed from the config's), and why it cannot run, or None."""
+    seed from the config's), and why it cannot run, or None; a field the
+    suite does not read is refused, so a misspelt one is not defaulted."""
     if not isinstance(spec, dict) or not _among(spec.get("suite"), _SUITES):
         return {}, f"suite must be one of {sorted(_SUITES)}"
     filled = {"suite": spec["suite"]}
     fields = {"seed": (seed, lambda x: type(x) is int, "an integer"), **_SUITES[spec["suite"]][1]}
+    unknown = sorted(set(spec) - {"suite", *fields})
+    if unknown:
+        return {}, f"unknown fields {unknown} for suite {spec['suite']}"
     for field, (default, test, message) in fields.items():
         filled[field] = spec.get(field, default)
         if not test(filled[field]):

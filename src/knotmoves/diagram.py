@@ -18,6 +18,7 @@ addressable as edge 0 for attachment purposes.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -108,6 +109,14 @@ class Fragment:
             dart[p] = (e, 0)
             dart[q] = (e, 1)
         return mate, dart, order
+
+    def _code(self, d: Dart) -> int:
+        """The slot code that dart d leaves from; ValueError if d is absent."""
+        _, dart, order = self._slots
+        i = bisect_left(order, d, key=dart.__getitem__)
+        if i == len(order) or dart[order[i]] != d:
+            raise ValueError(f"no dart {d}")
+        return order[i]
 
     def check_edge_pairing(self) -> None:
         self._slots  # building the tables checks the pairing
@@ -332,8 +341,8 @@ class Diagram(Fragment):
         """
         if not self.crossings:
             return []
-        mate, dart, _ = self._slots
-        p = dart.index((self.basepoint, 0))
+        mate = self._slots[0]
+        p = self._code((self.basepoint, 0))
         q = mate[p]
         if p >> 2 == q >> 2:
             under, other = (p, q) if p % 2 == 0 else (q, p)
@@ -425,8 +434,8 @@ class Diagram(Fragment):
         e2 = d2.basepoint
         # Cut both basepoint edges and reconnect crosswise along the dir-0
         # darts: e1 now flows into the end where e2 arrived, and e2 into e1's.
-        cr1, _ = self._with_ends({self._slots[1].index((e1, 1)): e2})
-        cr2, _ = d2._with_ends({d2._slots[1].index((e2, 1)): e1})
+        cr1, _ = self._with_ends({self._code((e1, 1)): e2})
+        cr2, _ = d2._with_ends({d2._code((e2, 1)): e1})
         return Diagram(cr1 + cr2, 0, self.basepoint)
 
 

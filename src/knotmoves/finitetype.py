@@ -55,9 +55,8 @@ def random_family(base: Diagram, orders: tuple[int, ...],
         chords.append(chord)
     fam = SingularFamily(base, tuple(chords))
     try:
-        # Insertions sharing a face can interleave and spoil co-faciality;
-        # the glue plan of the full set, which family() reuses, catches
-        # every such collision.
+        # Insertions sharing a face can interleave and leave the plane; the
+        # glue plan's one gate, the full member's Euler test, refuses them.
         fam._plan
     except (InvalidSite, InapplicableMove, MalformedDiagram):
         return None

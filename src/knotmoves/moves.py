@@ -77,7 +77,7 @@ def r1_add(frag: Fragment, edge: int, chirality: int) -> Fragment:
         return _rebuild(frag, [Crossing((1, 1, 2, 2) if chirality > 0 else (1, 2, 2, 1))], (), 0)
     fresh = frag.max_edge_id() + 1
     b, g = fresh, fresh + 1
-    crossings, legs = frag._with_ends({frag._slots[1].index((edge, 1)): b})
+    crossings, legs = frag._with_ends({frag._code((edge, 1)): b})
     crossings.append(Crossing((edge, b, g, g) if chirality > 0 else (edge, g, g, b)))
     return _rebuild(frag, crossings, tuple(legs), frag.free_loops)
 
@@ -136,10 +136,9 @@ def r2_add_sites(frag: Fragment) -> list[tuple]:
 def r2_add(frag: Fragment, e: int, de: int, f: int, df: int, over: bool) -> Fragment:
     """Push e across f at the ``r2_add_sites`` entry ("r2+", e, de, f, df, over)."""
     # The ends where the darts (e, de) and (f, df) arrive get the new flanks.
-    dart = frag._slots[1]
     fresh = frag.max_edge_id() + 1
     a2, b2, m, w = fresh, fresh + 1, fresh + 2, fresh + 3
-    crossings, legs = frag._with_ends({dart.index((e, 1 - de)): a2, dart.index((f, 1 - df)): b2})
+    crossings, legs = frag._with_ends({frag._code((e, 1 - de)): a2, frag._code((f, 1 - df)): b2})
     # Face walks keep the face on the right, so the two strands run
     # antiparallel along the face: e dips across f with flanks wired as
     # (e=a1) -cW- m -cE- a2 and (f=b1) -cE- w -cW- b2.

@@ -21,11 +21,13 @@ co-facial sites and gluing a finger blob into the face.  Sites are
 walk visits them; the side flag names the face via the dart (edge, side).
 Every chord goes through one pipeline, ``_glue_many``: it checks that no two
 chords of a family clash, applies the rewrites through ``apply_move``, cuts
-the host and numbers the new edges once, and returns a builder that splices
-any member from that plan.  A ``family`` keeps one such plan: its 2^l
-members are spliced from the cut of the full chord set, with left-out
+the host and numbers the new edges once, and returns the member that holds
+every chord with a builder that splices any member from that plan.  That
+full member is the family's one planarity gate: it is validated and must
+pass the Euler test.  A ``family`` keeps one such plan: its 2^l members are
+spliced unchecked from the cut of the full chord set, with left-out
 insertions rejoined and left-out rewrites swapped back; ``band_sum`` is the
-member that holds every chord, and ``apply_chord`` the band sum of one.
+full member, and ``apply_chord`` the band sum of one chord.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, islice
+from itertools import chain, combinations, groupby, islice
 from typing import Callable, Container, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, _IdJoiner
@@ -170,7 +172,7 @@ class Chord:
         if self.kind == "insert":
             return {s[0] for s in self.sites}, set()
         if self.kind not in ("switch", "delta"):
-            raise ValueError(f"unknown chord kind {self.kind!r}")
+            raise InvalidSite(f"unknown chord kind {self.kind!r}")
         cis = self.sites[:1 if self.kind == "switch" else 3]
         for ci in cis:
             if not 0 <= ci < d.n_crossings:
@@ -209,7 +211,8 @@ def _clash(d: Diagram, a: Chord, b: Chord) -> str | None:
     rotates its record, which scrambles the face darts used to address
     insertion sites, so insertion edges must avoid rewrite chords' edges;
     insertions may share an edge with each other (the glue rejects
-    coincident cut points and interleaved site groups separately).
+    coincident cut points, and the full member's Euler test interleaved
+    site groups).
     """
     (ea, xa), (eb, xb) = a.touched(d), b.touched(d)
     if xa & xb:
@@ -219,9 +222,11 @@ def _clash(d: Diagram, a: Chord, b: Chord) -> str | None:
     return None
 
 
-def _glue_many(d: Diagram, chords: Sequence[Chord]) -> Callable[[Container[int]], Diagram]:
+def _glue_many(d: Diagram, chords: Sequence[Chord]
+               ) -> tuple[Diagram, Callable[[Container[int]], Diagram]]:
     """The one chord pipeline: check a family's chords, apply its rewrites,
-    cut the host and shift every blob, once; return ``member(subset)``, which
+    cut the host and shift every blob, once; return ``(full, member)``, the
+    member holding every chord and the builder ``member(subset)``, which
     splices the member holding the chords whose indices are in ``subset``.
 
     No two chords may clash (``_clash``).  Each rewrite (a switch or a flip
@@ -230,18 +235,23 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]) -> Callable[[Container[int]]
     their own crossings' records, which insertion edges avoid, so the host
     takes every rewrite before it is cut and a member swaps back the base
     records of the rewrites it leaves out.  The insertions, sorted by their
-    sites, are checked and glued into the host's faces: a member joins the
-    blob legs of each insertion it holds to the flanks of its sites, and
-    joins each finger's two flanks back together for any other.  Every
-    member that glues is validated and tested for planarity.
+    sites, are glued into the host's faces: a member joins the blob legs of
+    each insertion it holds to the flanks of its sites, and joins each
+    finger's two flanks back together for any other.
+
+    Planarity has one gate: the full member is validated and passes the
+    Euler test, or the family is refused, also when it glues nothing.  Every
+    other member is the full one with some blobs rejoined or some rewrites
+    undone, so it is spliced with no check.  Sites must also have distinct
+    cut points and be listed in the cyclic order of their face walk, which
+    is the order the glue reads them in.
 
     New edge ids lie above the host's, in blocks of ``_ID_BLOCK``: the first
     block names the piece after each cut point, in cut-point order, and
     block j + 1 holds the blob of the j-th insertion in site order.  So host
     edges < cut pieces < blobs, in that order; a rejoined piece keeps the id
     of the piece it starts from, so a member's ids rank as if only its
-    chords were glued.  Insertions may share host edges as long as their cut
-    points differ and their site groups do not interleave around any face.
+    chords were glued.
     """
     for (i, a), (j, b) in combinations(enumerate(chords), 2):
         shared = _clash(d, a, b)
@@ -270,58 +280,36 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]) -> Callable[[Container[int]]
         raise InvalidSite("duplicate cut points")
     base = (host.max_edge_id() // _ID_BLOCK + 1) * _ID_BLOCK
     piece_ids = {pt: base + 1 + i for i, pt in enumerate(cut_points)}
-    # dart -> (face index, position in the face walk)
-    where = {dart: (wi, pos) for wi, walk in enumerate(host.face_walks())
-             for pos, dart in enumerate(walk)}
+    # dart -> its place in the face walks, one walk after another
+    where = {dart: pos for pos, dart in enumerate(chain.from_iterable(host.face_walks()))}
 
     def walk_key(entry):
         _, _, (edge, off, side) = entry
-        dart = (edge, side)
-        if dart not in where:
+        if (edge, side) not in where:
             raise InvalidSite(f"no dart for site {(edge, off, side)}")
-        wi, pos = where[dart]
-        return (wi, pos, off if side == 0 else -off)
+        return where[(edge, side)], off if side == 0 else -off
 
     keyed = sorted(all_sites, key=walk_key)
     groups = [[entry for entry in keyed if entry[0] == ci] for ci in range(len(inserts))]
-    # per-chord validation: co-facial and listed in cyclic walk order
     for group in groups:
-        faces = {where[(s[0], s[2])][0] for _, _, s in group}
-        if len(faces) != 1:
-            raise InvalidSite("sites of one chord are not co-facial")
         order = [entry[1] for entry in group]
-        k = len(order)
         anchor = order.index(0)
-        if [order[(anchor + r) % k] for r in range(k)] != list(range(k)):
+        if order[anchor:] + order[:anchor] != list(range(len(order))):
             raise InvalidSite("sites are not listed in face-walk cyclic order")
-    # chords sharing a face must not interleave
-    by_face: dict[int, list[int]] = {}
-    for entry in keyed:
-        wi = where[(entry[2][0], entry[2][2])][0]
-        by_face.setdefault(wi, []).append(entry[0])
-    for word in by_face.values():
-        for a, b in combinations(sorted(set(word)), 2):
-            sub = [x for x in word if x in (a, b)]
-            runs = 1 + sum(1 for u, v in zip(sub, sub[1:]) if u != v)
-            if sub[0] == sub[-1] and runs > 1:
-                runs -= 1
-            if runs > 2:
-                raise InvalidSite("insertions interleave around a face")
 
-    dart = host._slots[1]
     new_ends: dict[int, int] = {}
     # site -> (piece before it, piece after it), in the order of the host edge
     flanks: dict[tuple[int, int], tuple[int, int]] = {}
     for edge, run in groupby(sorted(all_sites, key=lambda e: e[2][:2]), lambda e: e[2][0]):
         entries = list(run)
-        chain = [piece_ids[(edge, site[1])] for _, _, site in entries]
+        pieces = [piece_ids[(edge, site[1])] for _, _, site in entries]
         if host.crossings:
             # The edge keeps the end that dart (edge, 0) leaves from; the last
             # piece takes the end that it arrives at.
-            new_ends[dart.index((edge, 1))] = chain[-1]
-        chain.insert(0, edge if host.crossings else chain[-1])
+            new_ends[host._code((edge, 1))] = pieces[-1]
+        pieces.insert(0, edge if host.crossings else pieces[-1])
         for j, (ci, i, _site) in enumerate(entries):
-            flanks[(ci, i)] = (chain[j], chain[j + 1])
+            flanks[(ci, i)] = (pieces[j], pieces[j + 1])
 
     cut, _ = host._with_ends(new_ends)
     blobs = [blob.shifted(base + (ci + 1) * _ID_BLOCK) for ci, blob in enumerate(blobs)]
@@ -351,12 +339,13 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]) -> Callable[[Container[int]]
                 joiner.join(second, blob.legs[2 * finger])
         crossings = joiner.apply(crossings)
         # Host ids < pieces < blobs: the default basepoint is the host's lowest edge.
-        out = Diagram(crossings, joiner.loops if not crossings else 0)
-        if not out.is_planar():
-            raise InvalidSite("insertion would leave the plane")
-        return out
+        return Diagram(crossings, joiner.loops if not crossings else 0, check=False)
 
-    return member
+    full = member(range(len(chords)))
+    full.validate()
+    if not full.is_planar():
+        raise InvalidSite("insertion would leave the plane" if inserts else "diagram is not planar")
+    return full, member
 
 
 def apply_chord(d: Diagram, chord: Chord) -> Diagram:
@@ -390,8 +379,7 @@ class SingularFamily:
     def _plan(self) -> tuple[Diagram, Callable[[Container[int]], Diagram]]:
         """(K_full, member): the full band sum, glued and checked once, and
         ``_glue_many``'s builder that splices K_P for any subset P."""
-        member = _glue_many(self.base, self.chords)
-        return member(range(len(self.chords))), member
+        return _glue_many(self.base, self.chords)
 
     def to_json(self) -> dict:
         # raw records: chord sites refer to these edge ids, so the base must
@@ -475,12 +463,12 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
     """Seeded single-chord sampler; returns None if no room is found.
 
     A draw is k sites of one face walk, taken from ``_face_slots`` in walk
-    order, each edge cut only at its first visit; so every check of
-    ``_glue_many`` holds by construction (co-facial, cyclic order, distinct
-    cut points, one group that cannot interleave), and a finger blob glued
-    into one face keeps the diagram planar and in one piece.  The draw is
-    therefore returned unglued: the caller's glue validates the diagram it
-    keeps.
+    order, each edge cut only at its first visit; so the site checks of
+    ``_glue_many`` hold by construction (cyclic order, distinct cut points),
+    and a finger blob glued into one face keeps the diagram planar and in
+    one piece.  The draw is therefore returned unglued: the one planarity
+    gate of the caller's glue, the Euler test of the full member, checks
+    the diagram it keeps.
 
     `offset_base` shifts the subdivision offsets so several chords can cut
     the same edge at distinct points.

@@ -195,8 +195,10 @@ _VT = {"suite": "verify_type", "phi": "v2", "orders": [2, 2], "trials": 1}
     {"suite": "searches", "require_rate": "x"},
     {"suite": "certificates", "budget": -5},
     {"suite": "group_checks", "pairs": -1},
+    {"suite": "group_checks", "pairs": 1, "pairz": -1, "max_crosings": 3},
 ], ids=["orders", "phi", "trials", "l", "not-a-dict", "budget", "searches-max-crossings",
-        "max-crossings", "chain", "require-rate", "certificates-budget", "pairs"])
+        "max-crossings", "chain", "require-rate", "certificates-budget", "pairs",
+        "unknown-field"])
 def test_verify_malformed_suite_spec_exit_2(tmp_path, spec):
     # A good suite first: every spec is checked before any output.
     cfg = tmp_path / "cfg.json"

@@ -406,12 +406,13 @@ def test_each_draw_glues_its_full_set_once(monkeypatch):
         if not counts["planning"]:
             return glue(d, chords)
         counts["plan_glues"] += 1
-        member = glue(d, chords)
+        full, member = glue(d, chords)
+        counts["full"] += 1
 
         def counting_member(subset):
             counts["full" if all(i in subset for i in range(len(chords))) else "part"] += 1
             return member(subset)
-        return counting_member
+        return full, counting_member
 
     def counting_plan(self):
         counts["plans"] += 1

@@ -10,22 +10,30 @@ bigon and triangle faces, slide classes and the R1/R2 additions must agree
 on perturbed corpus diagrams, large family members, tangles with legs and
 the 0-crossing unknot.  ``reference_slide_records`` is the triangle slide as
 it was written out slot by slot, the oracle for the one-rule slide.
+``reference_face_rules`` is the co-facial and the interleave rule of the
+insertion glue, which the full member's Euler test replaced: the glue must
+refuse every chord set they refuse.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
+from typing import Sequence
 
 import pytest
 
 from knotmoves.corpus import corpus
 from knotmoves.diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram
+from knotmoves import finitetype
 from knotmoves.finitetype import random_family
 from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _rebuild,
                              _slide_records, apply_move, greedy_reduce,
                              r1_removal_sites, r2_add, r2_add_sites, r2_removal_sites,
                              random_perturb, replay, triangle_faces, triangle_slide_sites)
 from knotmoves.tangles import Builder, Tangle, clasp_word, simplify_tangle
-from knotmoves.templates import Chord, InvalidSite, apply_chord, builtin_templates, family
+from knotmoves.templates import (Chord, InvalidSite, SingularFamily, _face_slots, _glue_many,
+                                 apply_chord, builtin_templates, family)
 
 # An occurrence of an edge end: ("x", crossing_index, slot) or ("b", leg_index, 0).
 Occ = tuple[str, int, int]
@@ -337,6 +345,41 @@ def reference_slide_records(frag: Fragment, c1: int, c2: int, c3: int,
     return tuple(crossings)
 
 
+# -- the insertion glue's face rules ----------------------------------------------
+
+def reference_face_rules(host: Diagram, inserts: Sequence[Chord]) -> str | None:
+    """Why the glue refused the insertions ``inserts`` on ``host`` (the base
+    with its family's rewrites applied) by its co-facial or interleave rule,
+    or None.  A site on no dart of the host is left to the glue's lookup."""
+    where = {dart: (wi, pos) for wi, walk in enumerate(host.face_walks())
+             for pos, dart in enumerate(walk)}
+    all_sites = [(ci, i, site) for ci, c in enumerate(inserts)
+                 for i, site in enumerate(c.sites)]
+    if any((s[0], s[2]) not in where for _, _, s in all_sites):
+        return None
+    keyed = sorted(all_sites, key=lambda e: (*where[(e[2][0], e[2][2])],
+                                             e[2][1] if e[2][2] == 0 else -e[2][1]))
+    groups = [[entry for entry in keyed if entry[0] == ci] for ci in range(len(inserts))]
+    for group in groups:
+        faces = {where[(s[0], s[2])][0] for _, _, s in group}
+        if len(faces) != 1:
+            return "sites of one chord are not co-facial"
+    # chords sharing a face must not interleave
+    by_face: dict[int, list[int]] = {}
+    for entry in keyed:
+        wi = where[(entry[2][0], entry[2][2])][0]
+        by_face.setdefault(wi, []).append(entry[0])
+    for word in by_face.values():
+        for a, b in combinations(sorted(set(word)), 2):
+            sub = [x for x in word if x in (a, b)]
+            runs = 1 + sum(1 for u, v in zip(sub, sub[1:]) if u != v)
+            if sub[0] == sub[-1] and runs > 1:
+                runs -= 1
+            if runs > 2:
+                return "insertions interleave around a face"
+    return None
+
+
 # -- inputs ---------------------------------------------------------------------
 
 def _perturbed() -> list[Diagram]:
@@ -488,6 +531,19 @@ def test_slot_walks_match_reference_off_the_plane(perturbed):
     assert sum(not d.is_planar() for d in off) > len(off) // 2
 
 
+def test_dart_lookup_matches_list_index(perturbed):
+    lookups = 0
+    for frag in perturbed + _tangles():
+        dart = frag._slots[1]
+        for d in dart:
+            assert frag._code(d) == dart.index(d)
+            lookups += 1
+        for absent in ((-1, 0), (dart[0][0], 2), (frag.max_edge_id() + 1, 0)):
+            with pytest.raises(ValueError):
+                frag._code(absent)
+    assert lookups > 1000
+
+
 @pytest.mark.parametrize("crossings, legs", [
     ([(1, 2, 3, 4), (1, 2, 3, 5)], ()),
     ([(1, 2, 3, 4), (4, 3, 2, 1), (1, 5, 5, 6)], ()),
@@ -526,6 +582,102 @@ def test_glue_many_refuses_an_insertion_off_the_plane():
     (e, side), *_ = host.face_walks()[0]
     with pytest.raises(InvalidSite, match="^insertion would leave the plane$"):
         apply_chord(host, Chord(2, "insert", ((e, 1, side), (e, 2, side))))
+
+
+def test_family_off_the_plane_is_refused_from_json():
+    base = {"crossings": [list(c.ends) for c in GENUS_ONE], "free_loops": 0, "basepoint": 1}
+    for chords in ([], [{"template_k": 2, "kind": "switch", "sites": [0]}]):
+        fam = SingularFamily.from_json({"base": base, "chords": chords})
+        with pytest.raises(InvalidSite, match="^diagram is not planar$"):
+            family(fam)
+
+
+def _check_gate(base: Diagram, chords: Sequence[Chord], seen: Counter) -> None:
+    """The glue refuses ``chords`` on ``base`` whenever the reference face
+    rules do, and every member of a set it accepts is a planar knot: so it
+    refuses exactly what it refused when it ran those rules and tested every
+    member.  ``seen`` counts the outcomes."""
+    host = base
+    try:
+        for c in chords:
+            if c.kind != "insert":
+                host = apply_move(host, (c.kind, *c.sites))
+        face_rule = reference_face_rules(host, [c for c in chords if c.kind == "insert"])
+    except InapplicableMove:
+        face_rule = None
+    try:
+        _, member = _glue_many(base, chords)
+    except (InvalidSite, MalformedDiagram) as exc:
+        seen["refused by a face rule, " + str(exc) if face_rule else "refused"] += 1
+        return
+    assert face_rule is None, (base.crossings, chords, face_rule)
+    n = len(chords)
+    for mask in range(1 << n):
+        d = member({i for i in range(n) if mask >> i & 1})
+        d.validate()
+        assert d.is_planar(), (base.crossings, chords, mask)
+    seen["accepted"] += 1
+
+
+def test_gate_on_single_chords_with_arbitrary_sites(small_knots):
+    rng = random.Random(25)
+    seen: Counter = Counter()
+    for _, d in sorted(small_knots.items()):
+        darts = [dart for walk in d.face_walks() for dart in walk]
+        for _ in range(150):
+            k, walk, mode = rng.choice((2, 3, 4)), rng.choice(d.face_walks()), rng.randrange(3)
+            slots = _face_slots(walk)
+            if mode == 2:  # any darts, any offsets
+                sites = [(e, rng.randint(1, 3), side)
+                         for e, side in (rng.choice(darts) for _ in range(k))]
+            elif len(slots) >= k:  # one face, in walk order or shuffled
+                sites = [slots[i] for i in sorted(rng.sample(range(len(slots)), k))]
+                if mode == 1:
+                    rng.shuffle(sites)
+            else:
+                continue
+            _check_gate(d, [Chord(k, "insert", tuple(sites), rng.randrange(2))], seen)
+    assert seen["accepted"] > 1000 and seen["refused"] > 200, seen
+    assert seen["refused by a face rule, insertion would leave the plane"] > 200, seen
+
+
+def test_gate_on_pairs_of_chords_on_one_face(small_knots):
+    rng = random.Random(26)
+    seen: Counter = Counter()
+    for _, d in sorted(small_knots.items()):
+        for _ in range(120):
+            walk = rng.choice(d.face_walks())
+            chords = []
+            for j, k in enumerate((rng.choice((2, 3, 4)), rng.choice((2, 3)))):
+                slots = _face_slots(walk, offset_base=4 * j)
+                if len(slots) >= k:
+                    picks = sorted(rng.sample(range(len(slots)), k))
+                    chords.append(Chord(k, "insert", tuple(slots[i] for i in picks),
+                                        rng.randrange(2)))
+            if len(chords) == 2:
+                _check_gate(d, chords, seen)
+    assert seen["accepted"] > 1000, seen
+    assert seen["refused by a face rule, insertion would leave the plane"] > 300, seen
+
+
+def test_gate_on_random_family_draws(small_knots, monkeypatch):
+    drawn = []
+
+    def recording_family(base, chords):
+        drawn.append((base, chords))
+        return SingularFamily(base, chords)
+
+    monkeypatch.setattr(finitetype, "SingularFamily", recording_family)
+    rng = random.Random(27)
+    bases = [d for _, d in sorted(small_knots.items())]
+    for orders in ((2, 2, 2), (2, 2, 2, 2), (3, 2), (3, 3), (4, 2), (4,), (3, 2, 2)):
+        for _ in range(57):
+            random_family(bases[rng.randrange(len(bases))], orders, rng)
+    seen: Counter = Counter()
+    for base, chords in drawn:
+        _check_gate(base, chords, seen)
+    assert len(drawn) > 350 and seen["accepted"] > 300, seen
+    assert seen["refused by a face rule, insertion would leave the plane"] > 0, seen
 
 
 def test_move_finders_match_reference_on_perturbed_corpus(perturbed, unknot):

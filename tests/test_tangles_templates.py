@@ -104,11 +104,20 @@ def test_apply_chord_is_local(left_trefoil):
 
 
 def test_apply_chord_rejects_bad_sites(left_trefoil):
-    with pytest.raises(InvalidSite, match="^sites of one chord are not co-facial$"):
+    with pytest.raises(InvalidSite, match="^insertion would leave the plane$"):
         # sides chosen on different faces
         apply_chord(left_trefoil, Chord(2, "insert", ((1, 1, 0), (1, 2, 1))))
     with pytest.raises((InvalidSite, MalformedDiagram)):
         apply_chord(left_trefoil, Chord(2, "switch", (99,)))
+
+
+def test_unknown_chord_kind_is_an_invalid_site(left_trefoil):
+    flip = Chord(2, "flip", (0,))
+    with pytest.raises(InvalidSite, match="^unknown move 'flip'$"):
+        apply_chord(left_trefoil, flip)
+    # the pair rule reads the chords' kinds before any rewrite applies
+    with pytest.raises(InvalidSite, match="^unknown chord kind 'flip'$"):
+        band_sum(left_trefoil, [flip, Chord(2, "switch", (1,))])
 
 
 def test_band_sum_empty_and_single(left_trefoil):
