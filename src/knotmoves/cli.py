@@ -20,8 +20,8 @@ from .corpus import corpus
 from .diagram import Diagram, parse_dt, parse_pd
 from .finitetype import (INVARIANTS, delta_v2_witness, group_checks, move_invariance_report,
                          random_family, verify_type)
-from .invariants import vassiliev_report
-from .moves import replay
+from .invariants import BRACKET_CROSSING_LIMIT, vassiliev_report
+from .moves import greedy_reduce, replay
 from .search import DEFAULT_BUDGET, MOVE_KINDS, bfs_path, delta_unknot, replay_path
 from .templates import builtin_templates, family, realize_by_lower, replay_tangle_script
 
@@ -105,8 +105,9 @@ class Cache:
             self._fh.flush()
 
 
-def _knot_payload(d: Diagram) -> dict:
-    rep = vassiliev_report(d)
+def _knot_payload(d: Diagram, n_crossings: int) -> dict:
+    """The invariants of d, a reduced diagram of an n_crossings-crossing input."""
+    rep = vassiliev_report(d, n_crossings=n_crossings)
     return {"v2": rep["v2"], "v3": rep["v3"], "crosschecks": rep["crosschecks"],
             "conway": rep["conway"].to_pairs(),
             "jones": None if rep["jones"] is None else rep["jones"].to_pairs()}
@@ -129,20 +130,31 @@ def cmd_invariants(args, out) -> int:
             except OSError as exc:
                 print(f"cannot read {args.input}: {exc}", file=sys.stderr)
                 return 2
+        # (reduced key, Jones in range) -> payload computed in this run;
+        # cache hits stay out, so it never serves a cached payload.
+        computed: dict[tuple[str, bool], dict] = {}
         successes = 0
         for lineno, line in enumerate(lines, 1):
             if not line.strip() or line.startswith("#"):
                 continue
-            name, _, code = line.partition("\t")
-            if not _:
-                name, _, code = line.partition(" ")
+            name, sep, code = line.partition("\t")
+            if not sep:
+                name, sep, code = line.partition(" ")
             name = name.strip()
             try:
+                if not sep:
+                    raise ValueError("no code field: expected name<TAB>code")
                 d = _parse_code(code)
                 key = d.canonical_key
                 payload = cache.get(key)
                 if payload is None:
-                    payload = _knot_payload(d)
+                    # Every field is an isotopy invariant, so the R1/R2-reduced
+                    # diagram gives the input's values in less time.
+                    reduced, _ = greedy_reduce(d)
+                    memo = (reduced.canonical_key, d.n_crossings <= BRACKET_CROSSING_LIMIT)
+                    if memo not in computed:
+                        computed[memo] = _knot_payload(reduced, d.n_crossings)
+                    payload = computed[memo]
                     cache.put(key, payload)
                 _emit(out, {"record": "knot", "name": name, "key": key, **payload})
                 successes += 1

@@ -245,11 +245,14 @@ def v3_jones(d: Diagram) -> int:
     return _v3_from_jones(jones(d))
 
 
-def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT) -> dict:
+def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT,
+                     n_crossings: int | None = None) -> dict:
     """v2 and v3 from the Gauss-diagram route, with polynomial cross-checks.
 
-    The Jones-derived checks are skipped (reported as None) above the
-    bracket crossing limit; the Conway check always runs.  The report also
+    The Jones-derived checks are skipped (reported as None) when
+    n_crossings (by default d's) is above the bracket crossing limit; a
+    caller that reduced its diagram to d passes the input's count, so the
+    cut-off does not move.  The Conway check always runs.  The report also
     carries the polynomials the checks used: "conway", and "jones" (None
     above the limit).
     """
@@ -257,7 +260,8 @@ def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT) -> d
 
     g2, g3 = gauss.v2(d), gauss.v3(d)
     nabla = conway(d)
-    v = jones(d, jones_limit) if d.n_crossings <= jones_limit else None
+    n = d.n_crossings if n_crossings is None else n_crossings
+    v = jones(d, jones_limit) if n <= jones_limit else None
     checks = {"v2_conway": g2 == nabla.coeff(2),
               "v2_jones": None if v is None else g2 == _v2_from_jones(v),
               "v3_jones": None if v is None else g3 == _v3_from_jones(v)}

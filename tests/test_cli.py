@@ -9,6 +9,9 @@ import pytest
 
 from knotmoves import cli, finitetype
 from knotmoves.corpus import corpus
+from knotmoves.diagram import emit_pd, parse_dt
+from knotmoves.invariants import vassiliev_report
+from knotmoves.moves import greedy_reduce, random_perturb
 from knotmoves.templates import builtin_templates
 
 CLI = [sys.executable, "-m", "knotmoves.cli"]
@@ -276,6 +279,71 @@ def test_cache_skips_json_lines_that_are_not_records(tmp_path):
     [out] = strip_header(rec2)
     assert out["v2"] == 7
     assert len(cache.read_text().splitlines()) == 6  # a hit appends nothing
+
+
+def test_invariants_line_without_a_code_field_is_an_error():
+    code, records, _ = run("invariants", "-", stdin="foo\nbare\t\n")
+    assert code == 0
+    foo, bare = strip_header(records)
+    assert foo["record"] == "error" and foo["name"] == "foo" and foo["line"] == 1
+    assert "no code field" in foo["error"]
+    assert bare["record"] == "knot" and bare["key"] == "unknot"  # an empty code field
+
+
+def _unreduced_record(name, d):
+    """The record of the route that computes on the input as given."""
+    rep = vassiliev_report(d)
+    return json.loads(json.dumps({
+        "record": "knot", "name": name, "key": d.canonical_key, "v2": rep["v2"],
+        "v3": rep["v3"], "crosschecks": rep["crosschecks"], "conway": rep["conway"].to_pairs(),
+        "jones": None if rep["jones"] is None else rep["jones"].to_pairs()}))
+
+
+def test_invariants_of_the_reduced_diagram_match_the_unreduced_route(tmp_path):
+    knots = corpus()
+    named = [(f"{name}~{seed}", random_perturb(d, 6, seed))
+             for name, d in sorted(corpus(max_crossings=7, include_unknot=True).items())
+             for seed in (1, 2)]
+    # One knot on either side of the Jones cut-off (20 and 21 crossings, both
+    # reducing to the same diagram), and one more diagram above it.
+    near = [("5_1@20", random_perturb(knots["5_1"], 40, 2, max_extra=16)),
+            ("5_1@21", random_perturb(knots["5_1"], 40, 7, max_extra=16)),
+            ("granny@21", random_perturb(knots["granny"], 40, 0, max_extra=16))]
+    assert [d.n_crossings for _, d in near] == [20, 21, 21]
+    assert len({greedy_reduce(d)[0].canonical_key for _, d in near[:2]}) == 1
+    named += near
+    assert sum(greedy_reduce(d)[0].n_crossings < d.n_crossings for _, d in named) > len(named) // 2
+    p = tmp_path / "perturbed.tsv"
+    p.write_text("".join(f"{name}\t{emit_pd(d)}\n" for name, d in named))
+    code, records, _ = run("invariants", str(p))
+    assert code == 0
+    got = strip_header(records)
+    assert got == [_unreduced_record(name, d) for name, d in named]
+    assert [r["jones"] is None for r in got[-3:]] == [False, True, True]
+
+
+def test_invariants_never_reuse_a_cached_payload_for_another_line(tmp_path):
+    trefoil = parse_dt("4 6 2")
+    other = random_perturb(trefoil, 6, 1)
+    assert other.canonical_key != trefoil.canonical_key
+    assert greedy_reduce(other)[0].canonical_key == trefoil.canonical_key
+    cache = tmp_path / "cache.jsonl"
+    first = tmp_path / "trefoil.tsv"
+    first.write_text("trefoil\t4 6 2\n")
+    assert run("invariants", str(first), "--cache", str(cache))[0] == 0
+    # A checksum-valid record that says v2 = 7 for the trefoil's own key.
+    rec = json.loads(cache.read_text())
+    rec["payload"]["v2"] = 7
+    rec["sha"] = hashlib.sha256(
+        json.dumps(rec["payload"], sort_keys=True).encode()).hexdigest()
+    cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    both = tmp_path / "both.tsv"
+    both.write_text(f"trefoil\t4 6 2\nperturbed\t{emit_pd(other)}\n")
+    code, records, _ = run("invariants", str(both), "--cache", str(cache))
+    assert code == 0
+    hit, computed = strip_header(records)
+    assert hit["v2"] == 7  # served from the cache
+    assert computed["v2"] == 1 and computed["key"] == other.canonical_key
 
 
 def test_cache_records_of_another_schema_are_recomputed(corpus_file, tmp_path):
