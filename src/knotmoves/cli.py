@@ -55,8 +55,9 @@ class Cache:
 
     Records carry the schema version they were written under; records of
     another version (or none) are ignored, so a changed formula or key
-    format cannot serve stale payloads.  Close it, or use it as a context
-    manager, to release the append handle.
+    format cannot serve stale payloads.  A file cut short in its last record
+    gets a newline before the next one, which stays readable.  Close it, or
+    use it as a context manager, to release the append handle.
     """
 
     SCHEMA = 1
@@ -66,6 +67,7 @@ class Cache:
         self.data: dict[str, dict] = {}
         self._fh = None
         if path:
+            line = "\n"
             try:
                 with open(path) as fh:
                     for line in fh:
@@ -79,6 +81,8 @@ class Cache:
             except FileNotFoundError:
                 pass
             self._fh = open(path, "a")
+            if not line.endswith("\n"):
+                self._fh.write("\n")
 
     def close(self) -> None:
         if self._fh:
@@ -346,13 +350,6 @@ def cmd_family(args, out) -> int:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     _header(out, seed=args.seed)
-    if not orders:
-        _emit(out, {"record": "family-member", "subset": [],
-                    "v2": gauss.v2(base), "v3": gauss.v3(base),
-                    "key": base.canonical_key})
-        _emit(out, {"record": "family-sums", "v2_sum": gauss.v2(base),
-                    "v3_sum": gauss.v3(base)})
-        return 0
     rng = random.Random(args.seed)
     fam = None
     for _ in range(50):

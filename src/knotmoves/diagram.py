@@ -411,6 +411,11 @@ class Diagram(Fragment):
                         best = cand
         return ";".join(words[k] for k in best)
 
+    @property
+    def key(self) -> str:
+        """What the explorer compares for a knot diagram: ``canonical_key``."""
+        return self.canonical_key
+
     # -- basic operations -------------------------------------------------
 
     def mirror(self) -> "Diagram":

@@ -273,41 +273,43 @@ def replay(frag: Fragment, script: Sequence[Sequence]) -> Fragment:
 class _Explorer:
     """Bounded breadth-first (or best-first) exploration of move sequences.
 
-    Iterating yields ``(fragment, key, script)`` for every state whose key
-    is new, the start first; ``expansions`` is the running count of steps
-    tried.  ``steps(fragment)`` yields ``(entries, base, records)``: a
-    step's script entries, the fragment its last entry (a rewrite or slide,
-    which keeps legs and free loops) applies to, and the crossing records
-    after it, which only permute ends and so are built with no check.  Each
-    step is one expansion, counted only once the budget allows it; the walk
-    stops once ``budget`` expansions are spent, or once the frontier is
-    empty, which sets ``exhausted``.  ``reduce(raw)`` returns ``(fragment,
-    extra_script)`` or ``None`` to reject the neighbour.  The frontier is one
-    heap, ranked by arrival (FIFO), or by ``(score(fragment), n_crossings,
-    arrival)`` when ``score`` is given.  A state is pushed after it is
-    yielded, so a caller that stops at its goal never pays for scoring it.
+    Iterating yields ``(fragment, key, script)`` for every state whose
+    ``key`` is new, the start first: each kind of fragment names what the
+    explorer compares (``Diagram.key``, ``Tangle.key``).  ``expansions`` is
+    the running count of steps tried.  ``steps(fragment)`` yields
+    ``(entries, base, records)``: a step's script entries, the fragment its
+    last entry (a rewrite or slide, which keeps legs and free loops) applies
+    to, and the crossing records after it, which only permute ends and so
+    are built with no check.  Each step is one expansion, counted only once
+    the budget allows it; the walk stops once ``budget`` expansions are
+    spent, or once the frontier is empty, which sets ``exhausted``.
+    ``reduce(raw)`` returns ``(fragment, extra_script)``, and a reduced
+    neighbour with more than ``cap`` crossings is dropped.  The frontier is
+    one heap, ranked by arrival (FIFO), or by ``(score(fragment),
+    n_crossings, arrival)`` when ``score`` is given.  A state is pushed after
+    it is yielded, so a caller that stops at its goal never pays for scoring
+    it.
 
     A neighbour whose exact state (records, legs and free loops) was already
     reached is skipped before it is built, reduced and keyed.  Reduction is
-    deterministic in that state, so the first visit already either rejected
+    deterministic in that state, so the first visit already either dropped
     it or put its key into ``seen``: a repeat could only be discarded, and
     since its expansion is counted first, scripts, keys and expansion counts
     are the same as without the skip.
     """
 
     def __init__(self, start: Fragment, script: Script,
-                 key_fn: Callable[[Fragment], str],
                  steps: Callable[[Fragment], Iterable[tuple]],
-                 reduce: Callable[[Fragment], tuple[Fragment, Script] | None],
-                 budget: int, score: Callable[[Fragment], int] | None = None):
+                 reduce: Callable[[Fragment], tuple[Fragment, Script]],
+                 budget: int, cap: int, score: Callable[[Fragment], int] | None = None):
         self.start, self.script = start, script
-        self.key_fn, self.steps, self.reduce = key_fn, steps, reduce
-        self.budget, self.score = budget, score
+        self.steps, self.reduce = steps, reduce
+        self.budget, self.cap, self.score = budget, cap, score
         self.expansions = 0
         self.exhausted = False
 
     def __iter__(self):
-        key_fn, budget, score = self.key_fn, self.budget, self.score
+        budget, cap, score = self.budget, self.cap, self.score
         frontier: list = []
         arrival = itertools.count()
 
@@ -316,7 +318,7 @@ class _Explorer:
             rank = (score(frag), frag.n_crossings, next(arrival)) if score else next(arrival)
             heapq.heappush(frontier, (rank, frag, script))
 
-        key = key_fn(self.start)
+        key = self.start.key
         seen = {key}
         reached: set[tuple] = set()
         yield self.start, key, self.script
@@ -331,11 +333,10 @@ class _Explorer:
                 if state in reached:
                     continue
                 reached.add(state)
-                reduced = self.reduce(_rebuild(base, records))
-                if reduced is None:
+                nxt, extra = self.reduce(_rebuild(base, records))
+                if nxt.n_crossings > cap:
                     continue
-                nxt, extra = reduced
-                key = key_fn(nxt)
+                key = nxt.key
                 if key in seen:
                     continue
                 seen.add(key)
@@ -381,10 +382,6 @@ def _r3_steps(frag: Fragment):
     return (_step(frag, site) for site in triangle_slide_sites(frag, "r3"))
 
 
-def _canonical_key(d: Diagram) -> str:
-    return d.canonical_key
-
-
 # -- simplification -----------------------------------------------------------
 
 def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
@@ -399,22 +396,19 @@ def greedy_reduce(frag: Fragment) -> tuple[Fragment, Script]:
         script.append(sites[0])
 
 
-def simplify_fragment(frag: Fragment, key_fn: Callable[[Fragment], str],
-                      r3_budget: int) -> tuple[Fragment, Script]:
-    """Greedy R1/R2 reduction plus a budgeted R3 exploration.
+def simplify(frag: Fragment, r3_budget: int = 1000) -> tuple[Fragment, Script]:
+    """Greedy R1/R2 reduction plus a budgeted R3 exploration of a diagram or
+    a tangle; returns the result, of the input's kind, and its script.
 
     Never returns a fragment with more crossings than the input; ties are
-    broken by the canonical key for determinism.
+    broken by the fragment's ``key`` for determinism.  R3 slides keep the
+    crossing count and greedy reduction only removes crossings, so the cap
+    at the reduced start's count drops no neighbour.
     """
     start, script = greedy_reduce(frag)
-    walk = _Explorer(start, script, key_fn, _r3_steps, greedy_reduce, r3_budget)
+    walk = _Explorer(start, script, _r3_steps, greedy_reduce, r3_budget, start.n_crossings)
     best, _, best_script = min(walk, key=lambda s: (s[0].n_crossings, s[1]))
     return best, best_script
-
-
-def simplify(d: Diagram, r3_budget: int = 1000) -> tuple[Diagram, Script]:
-    """R-move simplification of a knot diagram (never adds crossings) and its script."""
-    return simplify_fragment(d, _canonical_key, r3_budget)  # type: ignore[return-value]
 
 
 # -- random perturbation -------------------------------------------------------

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 from . import gauss
 from .diagram import Diagram
-from .moves import (Script, _canonical_key, _Explorer, _rewrite_steps, greedy_reduce, replay,
-                    simplify)
+from .moves import Script, _Explorer, _rewrite_steps, greedy_reduce, replay, simplify
 
 DEFAULT_BUDGET = 4000
 MOVE_KINDS = frozenset({"B2", "B3", "B4"})
@@ -70,17 +69,13 @@ def _simplifier(r3_budget: int):
 def _search(d: Diagram, steps, at_goal, budget: int, score=None) -> SearchResult:
     """Explore from the simplified d until ``at_goal(diagram, key)``.
 
-    Neighbours above the crossing cap are dropped; the start comes first.
+    The explorer drops neighbours above the crossing cap; the start comes first.
     """
     simplify_once = _simplifier(R3_BUDGET)
     start, start_script = simplify_once(d)
-    cap = d.n_crossings + CAP_EXTRA  # simplifying never adds crossings
-
-    def reduce(nxt: Diagram):
-        nxt, extra = simplify_once(nxt)
-        return None if nxt.n_crossings > cap else (nxt, extra)
-
-    walk = _Explorer(start, list(start_script), _canonical_key, steps, reduce, budget, score)
+    # Simplifying never adds crossings, so the start is under the cap.
+    walk = _Explorer(start, list(start_script), steps, simplify_once, budget,
+                     d.n_crossings + CAP_EXTRA, score)
     for cur, key, script in walk:
         if at_goal(cur, key):
             return SearchResult(True, script, _move_count(script), walk.expansions)

@@ -15,10 +15,14 @@ by identifying the top ends pairwise.
 from __future__ import annotations
 
 from .diagram import Crossing, Fragment, _IdJoiner
-from .moves import simplify_fragment
 
 
 class Tangle(Fragment):
+    @property
+    def key(self) -> str:
+        """What the explorer compares for a tangle: ``tangle_key``."""
+        return tangle_key(self)
+
     def _end_legs(self, walk: list[int]) -> tuple[int, int]:
         """Leg indices where a boundary strand walk starts and ends."""
         legs_from = 4 * self.n_crossings
@@ -169,7 +173,3 @@ def clasp_word(width: int, i: int, j: int, left_over: bool) -> list[tuple[int, b
 
 def commutator(a, b) -> list[tuple[int, bool]]:
     return list(a) + list(b) + inverse_word(a) + inverse_word(b)
-
-
-def simplify_tangle(t: Fragment, r3_budget: int = 400):
-    return simplify_fragment(t, tangle_key, r3_budget)

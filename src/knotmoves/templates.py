@@ -12,7 +12,7 @@ trivially embedded hairpins:
 
 Deleting any one strand from an insertion blob leaves a tangle that reduces
 to the crossing-free hairpins; the reduction scripts are the Brunnian
-certificates and are recomputed and replayed on demand.
+certificates, computed once per template and replayed on demand.
 
 A chord attaches a template to a host diagram: either by rewriting matched
 structure (a crossing switch, a triangle flip) or by cutting the host at k
@@ -40,12 +40,12 @@ from typing import Callable, Container, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, _IdJoiner
 from .moves import (InapplicableMove, Script, _Explorer, _r3_steps, _rewrite_steps, _rewrites,
-                    apply_move, greedy_reduce, replay)
+                    apply_move, greedy_reduce, replay, simplify)
 from .search import CAP_EXTRA
-from .tangles import (Builder, Tangle, clasp_word, commutator, simplify_tangle,
-                      tangle_key)
+from .tangles import Builder, Tangle, clasp_word, commutator
 
 _ID_BLOCK = 4096
+_R3_BUDGET = 400  # R3 expansions per tangle simplification
 _CERT_R3_BUDGET = 800  # R3 expansions per strand-deletion reduction
 
 
@@ -72,13 +72,15 @@ class MoveTemplate:
         return MoveTemplate(self.k, self.name + "~inv", self.after, self.before,
                             self.insertions)
 
+    @lru_cache(maxsize=None)
     def brunnian_certificates(self) -> dict:
-        """Reduction scripts witnessing triviality of every strand deletion."""
+        """Reduction scripts witnessing triviality of every strand deletion,
+        computed once per template; callers must not change them."""
         pair: dict[int, tuple[Script, Script]] = {}
         for s in range(self.k):
-            db, scr_b = simplify_tangle(self.before.delete_strand(s), _CERT_R3_BUDGET)
-            da, scr_a = simplify_tangle(self.after.delete_strand(s), _CERT_R3_BUDGET)
-            if tangle_key(db) != tangle_key(da):
+            db, scr_b = simplify(self.before.delete_strand(s), _CERT_R3_BUDGET)
+            da, scr_a = simplify(self.after.delete_strand(s), _CERT_R3_BUDGET)
+            if db.key != da.key:
                 raise AssertionError(
                     f"{self.name}: strand {s} deletion is not a trivial move")
             pair[s] = (scr_b, scr_a)
@@ -86,7 +88,7 @@ class MoveTemplate:
         for v, blob in enumerate(self.insertions):
             per = {}
             for s in range(self.k):
-                reduced, script = simplify_tangle(blob.delete_strand(s), _CERT_R3_BUDGET)
+                reduced, script = simplify(blob.delete_strand(s), _CERT_R3_BUDGET)
                 if reduced.n_crossings != 0:
                     raise AssertionError(
                         f"{self.name}: insertion variant {v} strand {s} "
@@ -100,7 +102,7 @@ class MoveTemplate:
         for s, (scr_b, scr_a) in certs["pair"].items():
             db = replay(self.before.delete_strand(s), scr_b)
             da = replay(self.after.delete_strand(s), scr_a)
-            if tangle_key(db) != tangle_key(da):
+            if db.key != da.key:
                 return False
         for v, per in certs["insertion"].items():
             blob = self.insertions[v]
@@ -505,20 +507,15 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
         raise ValueError("l must not exceed the template order")
     if l == template.k:
         return [("template", template.name)]
-    goal, _ = simplify_tangle(template.after)
-    goal_key = tangle_key(goal)
-    start, start_script = simplify_tangle(template.before)
-    cap = template.before.n_crossings + CAP_EXTRA
+    goal_key = simplify(template.after, _R3_BUDGET)[0].key
+    start, start_script = simplify(template.before, _R3_BUDGET)
 
     def steps(t: Fragment):
         yield from _rewrite_steps(t, l)
         yield from _r3_steps(t)
 
-    def reduce(t: Fragment):
-        t, extra = greedy_reduce(t)
-        return None if t.n_crossings > cap else (t, extra)
-
-    walk = _Explorer(start, list(start_script), tangle_key, steps, reduce, budget)
+    walk = _Explorer(start, list(start_script), steps, greedy_reduce, budget,
+                     template.before.n_crossings + CAP_EXTRA)
     # The start is skipped, never tested against the goal.
     for _, key, script in islice(walk, 1, None):
         if key == goal_key:
@@ -530,6 +527,6 @@ def replay_tangle_script(template: MoveTemplate, script: Script) -> bool:
     """Check a realize_by_lower certificate: before + script ~ after."""
     if script == [("template", template.name)]:
         return True
-    goal, _ = simplify_tangle(template.after)
-    final, _ = simplify_tangle(replay(template.before, script))
-    return tangle_key(final) == tangle_key(goal)
+    goal, _ = simplify(template.after, _R3_BUDGET)
+    final, _ = simplify(replay(template.before, script), _R3_BUDGET)
+    return final.key == goal.key

@@ -127,6 +127,9 @@ def test_family_l0():
     assert code == 0
     members = [r for r in strip_header(records) if r["record"] == "family-member"]
     assert len(members) == 1 and members[0]["v2"] == 1
+    # The one member is the base, so the sums are its values.
+    assert strip_header(records)[-1] == {"record": "family-sums", "orders": [],
+                                         "v2_sum": 1, "v3_sum": 1}
 
 
 def test_search_and_replay(tmp_path):
@@ -256,6 +259,34 @@ def test_cache_corruption_detected(corpus_file, tmp_path):
     code, rec2, _ = run("invariants", str(corpus_file), "--cache", str(cache))
     assert code == 0
     assert strip_header(rec1) == strip_header(rec2)  # bad records were ignored
+
+
+def test_cache_cut_short_in_its_last_record_loses_only_that_record(tmp_path):
+    two = tmp_path / "two.tsv"
+    two.write_text("trefoil\t4 6 2\nfig8\t4 6 8 2\n")
+    cold = tmp_path / "cold.jsonl"
+    code, rec1, _ = run("invariants", str(two), "--cache", str(cold))
+    assert code == 0 and len(cold.read_text().splitlines()) == 2
+    # The second record is cut off 60 bytes into it.
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(cold.read_bytes()[:cold.read_text().index("\n") + 61])
+
+    def readable():
+        out = []
+        for line in cut.read_text().splitlines():
+            try:
+                out.append(json.loads(line))
+            except ValueError:
+                pass
+        return out
+
+    sizes = []
+    for _ in range(2):  # the cut record is recomputed once, then hit
+        code, rec2, _ = run("invariants", str(two), "--cache", str(cut))
+        assert code == 0 and strip_header(rec2) == strip_header(rec1)
+        assert readable() == [json.loads(line) for line in cold.read_text().splitlines()]
+        sizes.append(cut.stat().st_size)
+    assert sizes[0] == sizes[1]
 
 
 def test_cache_skips_json_lines_that_are_not_records(tmp_path):

@@ -4,13 +4,13 @@ from collections import deque
 
 import pytest
 
-from knotmoves import moves, search
+from knotmoves import moves, search, templates
 from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
-from knotmoves.moves import (InapplicableMove, _canonical_key, _Explorer, _r3_steps, _rebuild,
-                             _rewrite_steps, greedy_reduce, random_perturb, replay, simplify)
+from knotmoves.moves import (InapplicableMove, _Explorer, _r3_steps, _rebuild, _rewrite_steps,
+                             greedy_reduce, random_perturb, replay, simplify)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
-from knotmoves.templates import builtin_templates
+from knotmoves.templates import builtin_templates, realize_by_lower
 
 
 def test_identical_diagrams_empty_path(left_trefoil):
@@ -227,7 +227,7 @@ class ReferenceExplorer(_Explorer):
     oracle for the skip, not for the budget."""
 
     def __iter__(self):
-        key_fn, budget, score = self.key_fn, self.budget, self.score
+        budget, cap, score = self.budget, self.cap, self.score
         frontier: deque | list = deque() if score is None else []
         arrival = itertools.count()
 
@@ -241,7 +241,7 @@ class ReferenceExplorer(_Explorer):
         def pop():
             return frontier.popleft() if score is None else heapq.heappop(frontier)[1:]
 
-        key = key_fn(self.start)
+        key = self.start.key
         seen = {key}
         reached: set[tuple] = set()
         yield self.start, key, self.script
@@ -260,11 +260,10 @@ class ReferenceExplorer(_Explorer):
                 if state in reached:
                     continue
                 reached.add(state)
-                reduced = self.reduce(nxt)
-                if reduced is None:
+                nxt, extra = self.reduce(nxt)
+                if nxt.n_crossings > cap:
                     continue
-                nxt, extra = reduced
-                key = key_fn(nxt)
+                key = nxt.key
                 if key in seen:
                     continue
                 seen.add(key)
@@ -369,14 +368,73 @@ def test_no_slide_state_built_twice(monkeypatch, knots, steps, reduce):
 
     for name in ("5_2", "6_3", "3_1+4_1"):
         start = random_perturb(knots[name], 10, seed=4)
-        ref = list(ReferenceExplorer(start, [], _canonical_key, steps, reduce, 300))
+        # A step adds at most two crossings (an R2 push), so within 300
+        # expansions this cap drops nothing.
+        cap = start.n_crossings + 2 * 300
+        ref = list(ReferenceExplorer(start, [], steps, reduce, 300, cap))
         with monkeypatch.context() as m:
             m.setattr(moves, "_rebuild", count_built)
             m.setattr(moves, "_slide_records", count_records)
-            walk = _Explorer(start, [], _canonical_key, steps, reduce, 300)
+            walk = _Explorer(start, [], steps, reduce, 300, cap)
             got = list(walk)
         assert [(k, s) for _, k, s in got] == [(k, s) for _, k, s in ref], name
         assert len(built) == len(set(built)), name
         assert len(slides) > len(built), name  # repeats were skipped unbuilt
         built.clear()
         slides.clear()
+
+
+def test_explorer_applies_the_callers_crossing_cap(monkeypatch, small_knots):
+    # Every explorer the searches, their simplifications and realize_by_lower
+    # make records the states it yields and the ones its reduce returns.
+    runs = []
+
+    class RecordingExplorer(_Explorer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.yielded, self.reduced, inner = [], [], self.reduce
+            runs.append(self)
+
+            def reduce(frag):
+                out = inner(frag)
+                self.reduced.append(out[0].n_crossings)
+                return out
+
+            self.reduce = reduce
+
+        def __iter__(self):
+            for state in super().__iter__():
+                self.yielded.append(state[0].n_crossings)
+                yield state
+
+    for module in (moves, search, templates):
+        monkeypatch.setattr(module, "_Explorer", RecordingExplorer)
+    callers = []  # (the caller's own explorer, the caller's cap)
+
+    def capped(run, cap):
+        before = len(runs)
+        run()
+        # simplify makes one explorer per call, with steps _r3_steps.
+        [mine] = [w for w in runs[before:] if w.steps is not _r3_steps]
+        callers.append((mine, cap))
+
+    tpl = builtin_templates()[4]
+    # With CAP_EXTRA = 4 these runs drop nothing; a cap at the start's
+    # count (CAP_EXTRA = 0) drops some neighbours of 7_1, 7_3 and tpl.
+    for extra in (search.CAP_EXTRA, 0):
+        monkeypatch.setattr(search, "CAP_EXTRA", extra)
+        monkeypatch.setattr(templates, "CAP_EXTRA", extra)
+        for a, b, kinds, budget in BFS_CASES:
+            d1, d2 = small_knots[a], small_knots[b]
+            capped(lambda: bfs_path(d1, d2, kinds, budget), d1.n_crossings + extra)
+        for d in small_knots.values():
+            capped(lambda: delta_unknot(d), d.n_crossings + extra)
+        capped(lambda: realize_by_lower(tpl, 3, 3000), tpl.before.n_crossings + extra)
+    for walk in runs:
+        if walk.steps is _r3_steps:  # simplify: R3 slides keep the start's count
+            assert walk.cap == walk.start.n_crossings
+            assert max(walk.yielded, default=0) <= walk.cap
+    for walk, cap in callers:
+        assert max(walk.yielded) <= cap
+    # Not vacuous: the cap dropped neighbours the explorers reduced.
+    assert sum(n > cap for walk, cap in callers for n in walk.reduced) > 0

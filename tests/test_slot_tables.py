@@ -30,8 +30,9 @@ from knotmoves.finitetype import random_family
 from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _rebuild,
                              _slide_records, apply_move, greedy_reduce,
                              r1_removal_sites, r2_add, r2_add_sites, r2_removal_sites,
-                             random_perturb, replay, triangle_faces, triangle_slide_sites)
-from knotmoves.tangles import Builder, Tangle, clasp_word, simplify_tangle
+                             random_perturb, replay, simplify, triangle_faces,
+                             triangle_slide_sites)
+from knotmoves.tangles import Builder, Tangle, clasp_word
 from knotmoves.templates import (Chord, InvalidSite, SingularFamily, _face_slots, _glue_many,
                                  apply_chord, builtin_templates, family)
 
@@ -734,5 +735,5 @@ def test_moves_keep_a_tangle_a_tangle():
     t = builtin_templates()[4].before.delete_strand(0)
     reduced, script = greedy_reduce(t)
     assert script and type(reduced) is Tangle and type(replay(t, script)) is Tangle
-    simple, _ = simplify_tangle(t)
+    simple, _ = simplify(t, 400)
     assert type(simple) is Tangle and simple.strand_legs() == reduced.strand_legs()
