@@ -291,6 +291,61 @@ def _token_ranks(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return tuple(rank), tuple(words[k] for k in order)
 
 
+def _least_rotation(codes: list[int]) -> list[int]:
+    """The least rotation of ``codes``; only a start on the least code can win."""
+    low = min(codes)
+    m = len(codes)
+    twice = codes * 2
+    return min([twice[i:i + m] for i in range(m) if codes[i] == low])
+
+
+# Distinct Gauss patterns whose key is kept; a search or an invariants run
+# meets a few hundred.
+_KEY_MEMO = 4096
+
+
+@lru_cache(maxsize=_KEY_MEMO)
+def _pattern_key(pattern: tuple[int, ...]) -> str:
+    """``canonical_key`` of the diagrams with this Gauss pattern."""
+    if not pattern:
+        return "unknot"
+    # The pattern is one rotation of the passage codes 4*b + t; a passage
+    # whose partner lies b steps back in it names the crossing by the
+    # partner's position, else by its own.
+    seq = [(i - (c >> 2) if c >> 2 <= i else i, c & 3) for i, c in enumerate(pattern)]
+    # A passage is (crossing, tail), tails numbered in string order
+    # "o+" < "o-" < "u+" < "u-".  Every rotation labels its first
+    # passage 0, so only rotations starting on the minimal tail can win.
+    # Candidates are lists of token ranks, which order like the token
+    # strings; no token is a proper prefix of another (each ends in a
+    # sign), so the joined strings compare the same way.  All candidates
+    # have the same length, so a candidate is dropped at its first token
+    # above the best, and once below it is finished without compares.
+    rank, words = _token_ranks(len(seq) // 2)
+    m = len(seq)
+    best: list[int] = []
+    for walk in (seq, seq[::-1]):
+        head = min(t for _, t in walk)
+        twice = walk * 2
+        for r in range(m):
+            if walk[r][1] != head:
+                continue
+            label: dict[int, int] = {}
+            cand: list[int] = []
+            tied = bool(best)
+            for ci, t in twice[r:r + m]:
+                tok = rank[4 * label.setdefault(ci, len(label)) + t]
+                if tied and tok != best[len(cand)]:
+                    if tok > best[len(cand)]:
+                        break
+                    tied = False
+                cand.append(tok)
+            else:
+                if not tied:
+                    best = cand
+    return ";".join(words[k] for k in best)
+
+
 class Diagram(Fragment):
     """A closed single-component (knot) diagram with a marked basepoint edge."""
 
@@ -305,7 +360,10 @@ class Diagram(Fragment):
     @cached_property
     def basepoint(self) -> int:
         """The basepoint edge: the one given, else the least edge id."""
-        return min(min(c.ends) for c in self.crossings) if self.crossings else 0
+        if not self.crossings:
+            return 0
+        _, dart, order = self._slots
+        return dart[order[0]][0]
 
     @classmethod
     def unknot(cls) -> "Diagram":
@@ -320,12 +378,20 @@ class Diagram(Fragment):
             return
         if self.free_loops:
             raise MalformedDiagram("knot diagram with crossings cannot carry free loops")
-        # The slot tables check the edge pairing; strand walks then partition
-        # the edges, so one walk covers all 2n exactly when it is the only one.
-        if len(self._strand_walk(0)) != 2 * self.n_crossings:
-            raise MalformedDiagram(
-                f"diagram has {len(self.closed_components())} components (expected 1)")
-        if not any(self.basepoint in c.ends for c in self.crossings):
+        # The slot tables check the edge pairing, first, since their
+        # MalformedDiagram is a ValueError too.  knot_walk starts on the
+        # basepoint edge, so it fails when that edge is absent; strand walks
+        # partition the edges, so it covers all 2n exactly when it is the
+        # only one.
+        self.check_edge_pairing()
+        try:
+            covered = len(self.knot_walk)
+        except ValueError:
+            covered = -1
+        if covered != 2 * self.n_crossings:
+            count = len(self.closed_components())
+            if count != 1:
+                raise MalformedDiagram(f"diagram has {count} components (expected 1)")
             raise MalformedDiagram(f"basepoint edge {self.basepoint} not present")
 
     # -- derived orientation data ---------------------------------------
@@ -369,47 +435,56 @@ class Diagram(Fragment):
         return sum(self.signs)
 
     @cached_property
+    def gauss_pattern(self) -> tuple[int, ...]:
+        """The signed Gauss word up to rotation, reversal and relabelling.
+
+        Passage i of the knot walk gets the code ``4*b + t``: b is the
+        number of steps back to the other passage of its crossing, and t
+        the tail rank of the key, ``under*2 + (sign < 0)``.  The pattern is
+        the least rotation of this list, over both directions; reversal
+        maps b to ``m - b`` for m passages.
+
+        Complete: one rotation of the codes gives the Gauss word with its
+        crossings labelled by first passage (a passage starts a new label
+        when b reaches back past the first position, and repeats the label
+        of the passage b steps back otherwise), and that word gives the
+        codes back.  So two diagrams have equal patterns exactly when their
+        signed Gauss words agree up to rotation, reversal and relabelling,
+        which is when their canonical keys agree.
+        """
+        if not self.crossings:
+            return ()
+        mate = self._slots[0]
+        walk = self.knot_walk
+        m = len(walk)
+        first = [-1] * self.n_crossings
+        fwd = [0] * m
+        back = [0] * m
+        for i, p in enumerate(walk):
+            a = mate[p]
+            j = first[a >> 2]
+            if j < 0:
+                first[a >> 2] = i
+                continue
+            # The sign is +1 iff the two arrival slots sum to 3 mod 4; the
+            # under strand arrives in an even slot.
+            a0 = mate[walk[j]]
+            neg = (a + a0) & 3 != 3
+            t, t0 = (~a & 1) * 2 + neg, (~a0 & 1) * 2 + neg
+            b = i - j
+            fwd[i], fwd[j] = 4 * b + t, 4 * (m - b) + t0
+            back[m - 1 - i], back[m - 1 - j] = 4 * (m - b) + t, 4 * b + t0
+        return tuple(min(_least_rotation(fwd), _least_rotation(back)))
+
+    @cached_property
     def canonical_key(self) -> str:
         """Minimal labeled Gauss string over basepoint rotations and reversal.
 
         Equal for diagrams differing by relabeling or basepoint moves; this
-        is a diagram-level fingerprint, not a knot invariant.
+        is a diagram-level fingerprint, not a knot invariant.  It is a
+        function of ``gauss_pattern``, computed once per pattern.
         """
-        if not self.crossings:
-            return "unknot"
-        # A passage is (crossing, tail), tails numbered in string order
-        # "o+" < "o-" < "u+" < "u-".  Every rotation labels its first
-        # passage 0, so only rotations starting on the minimal tail can win.
-        # Candidates are lists of token ranks, which order like the token
-        # strings; no token is a proper prefix of another (each ends in a
-        # sign), so the joined strings compare the same way.  All candidates
-        # have the same length, so a candidate is dropped at its first token
-        # above the best, and once below it is finished without compares.
-        rank, words = _token_ranks(self.n_crossings)
-        signs = self.signs
-        seq = [(ci, (slot % 2 == 0) * 2 + (signs[ci] < 0)) for ci, slot in self.passages]
-        m = len(seq)
-        best: list[int] = []
-        for walk in (seq, seq[::-1]):
-            head = min(t for _, t in walk)
-            twice = walk * 2
-            for r in range(m):
-                if walk[r][1] != head:
-                    continue
-                label: dict[int, int] = {}
-                cand: list[int] = []
-                tied = bool(best)
-                for ci, t in twice[r:r + m]:
-                    tok = rank[4 * label.setdefault(ci, len(label)) + t]
-                    if tied and tok != best[len(cand)]:
-                        if tok > best[len(cand)]:
-                            break
-                        tied = False
-                    cand.append(tok)
-                else:
-                    if not tied:
-                        best = cand
-        return ";".join(words[k] for k in best)
+        return _pattern_key(self.gauss_pattern)
 
     @property
     def key(self) -> str:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from knotmoves.corpus import corpus
 from knotmoves.diagram import (Crossing, Diagram, Fragment, MalformedDiagram, NotRealizable,
-                               emit_dt, emit_pd, parse_dt, parse_pd)
+                               _pattern_key, emit_dt, emit_pd, parse_dt, parse_pd)
 from knotmoves.finitetype import random_family
 from knotmoves.gauss import to_gauss
-from knotmoves.moves import random_perturb
+from knotmoves.moves import r1_add, random_perturb
 from knotmoves.templates import family
 
 
@@ -318,11 +319,101 @@ def test_canonical_key_invariances(left_trefoil):
         assert rotated.canonical_key == left_trefoil.canonical_key
 
 
+def _fresh(d: Diagram) -> Diagram:
+    """A copy of d with nothing cached on it."""
+    return Diagram(d.crossings, d.free_loops, d.basepoint, check=False)
+
+
 def test_canonical_key_matches_reference(perturbed):
     # Multi-digit labels ("10u+" sorts before "1o+") must be covered.
     assert max(d.n_crossings for d in perturbed) >= 15
-    for d in perturbed:
-        assert d.canonical_key == reference_key(d), d.crossings
+    ds = list(perturbed) + basepoint_cases()
+    want = [reference_key(d) for d in ds]
+    # The key of a pattern is memoized per process, so a key must not depend
+    # on which diagram filled the memo: each order runs cold, then warm
+    # after the other order filled it.
+    for order in (range(len(ds)), range(len(ds) - 1, -1, -1)):
+        _pattern_key.cache_clear()
+        for i in order:
+            assert _fresh(ds[i]).canonical_key == want[i], ds[i].crossings
+        for i in reversed(order):
+            assert _fresh(ds[i]).canonical_key == want[i], ds[i].crossings
+    assert _pattern_key.cache_info().hits > 0
+
+
+def _pd_copy(d: Diagram, rng: random.Random) -> Diagram:
+    """d under random edge labels and record order, each record maybe
+    rotated by two slots (the PD gauge), read back from PD text."""
+    edges = d.edges()
+    mapping = dict(zip(edges, rng.sample(range(1, 10 * len(edges) + 2), len(edges))))
+    records = [c.relabeled(mapping).rotated(rng.choice((0, 2))) for c in d.crossings]
+    rng.shuffle(records)
+    return parse_pd(" ".join("X(%d,%d,%d,%d)" % c.ends for c in records))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gauss_pattern_ignores_relabelling_and_basepoint(perturbed, data):
+    d = data.draw(st.sampled_from(perturbed))
+    copies = [d.shifted(data.draw(st.integers(1, 500))),
+              _pd_copy(d, random.Random(data.draw(st.integers(0, 2**32))))]
+    if d.crossings:
+        copies.append(parse_pd(emit_pd(d)))
+        copies.append(Diagram(d.crossings, d.free_loops,
+                              basepoint=data.draw(st.sampled_from(d.edges())), check=False))
+    for c in copies:
+        assert c.gauss_pattern == d.gauss_pattern
+
+
+def test_gauss_pattern_separates_exactly_as_the_reference_key(perturbed):
+    # Patterns and reference keys induce the same partition: each key has
+    # one pattern and each pattern one key, which decides every pair.
+    ds = basepoint_cases() + list(perturbed)
+    patterns: dict[str, set] = {}
+    keys: dict[tuple, set] = {}
+    for d in ds:
+        k, p = reference_key(d), d.gauss_pattern
+        patterns.setdefault(k, set()).add(p)
+        keys.setdefault(p, set()).add(k)
+    assert all(len(v) == 1 for v in patterns.values())
+    assert all(len(v) == 1 for v in keys.values())
+    assert len(keys) > 100
+
+
+def test_gauss_pattern_of_kinks():
+    # One crossing: both passages are one step apart (b = 1), so a code is
+    # 4 + tail; the two kinks differ only in the sign.
+    for text, pattern, key in (("X(1,1,2,2)", (4, 6), "0o+;0u+"),
+                               ("X(2,2,1,1)", (4, 6), "0o+;0u+"),
+                               ("X(1,2,2,1)", (5, 7), "0o-;0u-"),
+                               ("X(2,1,1,2)", (5, 7), "0o-;0u-")):
+        d = parse_pd(text)
+        assert d.gauss_pattern == pattern
+        assert d.canonical_key == key == reference_key(d)
+    # A kink added to a larger diagram shows as a code with b = 1.
+    trefoil = parse_dt("4 6 2")
+    for e in trefoil.edges():
+        for chirality in (1, -1):
+            kinked = r1_add(trefoil, e, chirality)
+            assert 1 in [c >> 2 for c in kinked.gauss_pattern]
+            assert kinked.canonical_key == reference_key(kinked)
+
+
+def test_canonical_key_stays_a_cached_property():
+    # perfbench/spans.py books key time by rewrapping
+    # Diagram.canonical_key.func; a plain property has no .func, and every
+    # traced benchmark run then fails.  The memo helper stays private, so
+    # the tracer does not give it a span of its own and its time stays in
+    # diagram.canonical_key.
+    assert isinstance(Diagram.__dict__["canonical_key"], functools.cached_property)
+    assert _pattern_key.__name__.startswith("_")
+
+
+def test_validate_reports_components_before_a_missing_basepoint():
+    with pytest.raises(MalformedDiagram, match="diagram has 2 components"):
+        Diagram([Crossing((1, 1, 2, 2)), Crossing((3, 3, 4, 4))], basepoint=9)
+    with pytest.raises(MalformedDiagram, match="^basepoint edge 9 not present$"):
+        Diagram(parse_dt("4 6 2").crossings, basepoint=9)
 
 
 @settings(max_examples=80, deadline=None)
