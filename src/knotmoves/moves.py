@@ -283,24 +283,24 @@ class _Explorer:
     are built with no check.  Each step is one expansion, counted only once
     the budget allows it; the walk stops once ``budget`` expansions are
     spent, or once the frontier is empty, which sets ``exhausted``.
-    ``reduce(raw)`` returns ``(fragment, extra_script)``, and a reduced
-    neighbour with more than ``cap`` crossings is dropped.  The frontier is
-    one heap, ranked by arrival (FIFO), or by ``(score(fragment),
-    n_crossings, arrival)`` when ``score`` is given.  A state is pushed after
-    it is yielded, so a caller that stops at its goal never pays for scoring
-    it.
+    ``reduce(raw)`` returns ``(fragment, extra_script)``, or None to drop
+    the neighbour, and a reduced neighbour with more than ``cap`` crossings
+    is dropped.  The frontier is one heap, ranked by arrival (FIFO), or by
+    ``(score(fragment), n_crossings, arrival)`` when ``score`` is given.  A
+    state is pushed after it is yielded, so a caller that stops at its goal
+    never pays for scoring it.
 
     A neighbour whose exact state (records, legs and free loops) was already
-    reached is skipped before it is built, reduced and keyed.  Reduction is
-    deterministic in that state, so the first visit already either dropped
-    it or put its key into ``seen``: a repeat could only be discarded, and
-    since its expansion is counted first, scripts, keys and expansion counts
-    are the same as without the skip.
+    reached is skipped before it is built, reduced and keyed.  Reducing that
+    state again gives the same result or a drop, so the first visit already
+    either dropped it or put its key into ``seen``: a repeat could only be
+    discarded, and since its expansion is counted first, scripts, keys and
+    expansion counts are the same as without the skip.
     """
 
     def __init__(self, start: Fragment, script: Script,
                  steps: Callable[[Fragment], Iterable[tuple]],
-                 reduce: Callable[[Fragment], tuple[Fragment, Script]],
+                 reduce: Callable[[Fragment], tuple[Fragment, Script] | None],
                  budget: int, cap: int, score: Callable[[Fragment], int] | None = None):
         self.start, self.script = start, script
         self.steps, self.reduce = steps, reduce
@@ -333,7 +333,10 @@ class _Explorer:
                 if state in reached:
                     continue
                 reached.add(state)
-                nxt, extra = self.reduce(_rebuild(base, records))
+                reduced = self.reduce(_rebuild(base, records))
+                if reduced is None:
+                    continue
+                nxt, extra = reduced
                 if nxt.n_crossings > cap:
                     continue
                 key = nxt.key
@@ -405,10 +408,18 @@ def simplify(frag: Fragment, r3_budget: int = 1000) -> tuple[Fragment, Script]:
     crossing count and greedy reduction only removes crossings, so the cap
     at the reduced start's count drops no neighbour.
     """
-    start, script = greedy_reduce(frag)
+    best, best_script, _ = _explore_r3(*greedy_reduce(frag), r3_budget)
+    return best, best_script
+
+
+def _explore_r3(start: Fragment, script: Script,
+                r3_budget: int) -> tuple[Fragment, Script, bool]:
+    """``simplify`` from a greedy-reduced start reached by script: the result,
+    its script, and whether the exploration finished (its frontier emptied
+    with fewer than ``r3_budget`` expansions spent)."""
     walk = _Explorer(start, script, _r3_steps, greedy_reduce, r3_budget, start.n_crossings)
     best, _, best_script = min(walk, key=lambda s: (s[0].n_crossings, s[1]))
-    return best, best_script
+    return best, best_script, walk.exhausted and walk.expansions < r3_budget
 
 
 # -- random perturbation -------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from . import gauss
 from .diagram import Diagram
-from .moves import Script, _Explorer, _rewrite_steps, greedy_reduce, replay, simplify
+from .moves import (Script, _Explorer, _explore_r3, _rewrite_steps, greedy_reduce, replay,
+                    simplify)
 
 DEFAULT_BUDGET = 4000
 MOVE_KINDS = frozenset({"B2", "B3", "B4"})
@@ -47,21 +48,38 @@ def _move_count(script: Script) -> int:
 
 
 def _simplifier(r3_budget: int):
-    """``simplify`` for one search, exploring each reduced start once.
+    """``simplify`` as the ``reduce`` of one search's explorer, memoized by key.
 
-    The R3 exploration and its script depend only on the exact greedy-reduced
-    state, so a start reached again reuses its result.  A fresh dict per
-    search keeps nothing between calls.
+    A neighbour whose greedy-reduced start has the key of a start whose R3
+    exploration finished earlier in the search is dropped (None) unexplored.
+    That exploration's result went to the same explorer, which kept its key
+    or dropped it above the crossing cap, and the neighbour's result would
+    have the same crossing count and key:
+    - distinct R1/R2 removal sites that share no crossing commute;
+    - two that share one (R1 and R2, or two R2 bigons) end in the same
+      diagram up to relabelling;
+    - every removal deletes crossings, so removals terminate, and by
+      Newman's lemma (Ann. Math. 43, 1942) every order of them ends in one
+      diagram up to relabelling: ``greedy_reduce``'s key depends only on
+      its input's key;
+    - R3 sites correspond under relabelling, so an exploration that
+      finishes visits a key set, and spends an expansion count, that depend
+      only on the start's key.  A start with the same key also finishes,
+      with the same best ``(n_crossings, key)``.
+    Every other neighbour is explored, so each kept state and script is the
+    one ``simplify`` gives.  An exploration that stops at ``r3_budget`` is
+    not recorded.  A fresh set per search keeps nothing between calls.
     """
-    explored: dict[tuple, tuple[Diagram, Script]] = {}
+    finished: set[str] = set()
 
-    def simplify_once(d: Diagram) -> tuple[Diagram, Script]:
+    def simplify_once(d: Diagram) -> tuple[Diagram, Script] | None:
         start, prefix = greedy_reduce(d)
-        state = (start.crossings, start.free_loops)
-        if state not in explored:
-            explored[state] = simplify(start, r3_budget)
-        best, suffix = explored[state]
-        return best, prefix + suffix
+        if start.key in finished:
+            return None
+        best, script, done = _explore_r3(start, prefix, r3_budget)
+        if done:
+            finished.add(start.key)
+        return best, script
 
     return simplify_once
 
@@ -72,8 +90,9 @@ def _search(d: Diagram, steps, at_goal, budget: int, score=None) -> SearchResult
     The explorer drops neighbours above the crossing cap; the start comes first.
     """
     simplify_once = _simplifier(R3_BUDGET)
-    start, start_script = simplify_once(d)
-    # Simplifying never adds crossings, so the start is under the cap.
+    # The memo is empty, so the start is not dropped; simplifying never adds
+    # crossings, so it is under the cap.
+    start, start_script = simplify_once(d)  # type: ignore[misc]
     walk = _Explorer(start, list(start_script), steps, simplify_once, budget,
                      d.n_crossings + CAP_EXTRA, score)
     for cur, key, script in walk:

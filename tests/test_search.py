@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from knotmoves import moves, search, templates
 from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
-from knotmoves.moves import (InapplicableMove, _Explorer, _r3_steps, _rebuild, _rewrite_steps,
-                             greedy_reduce, random_perturb, replay, simplify)
+from knotmoves.moves import (InapplicableMove, _Explorer, _explore_r3, _r3_steps, _rebuild,
+                             _rewrite_steps, apply_move, greedy_reduce, r1_removal_sites,
+                             r2_removal_sites, random_perturb, replay, simplify)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
 from knotmoves.templates import builtin_templates, realize_by_lower
 
@@ -285,10 +287,29 @@ def reference_run(monkeypatch, search_fn, *args, **kwargs):
 
 
 def test_delta_unknot_matches_reference(monkeypatch, small_knots):
-    for name, d in small_knots.items():
-        if d.n_crossings <= 6:
-            assert delta_unknot(d).to_json() == reference_run(
-                monkeypatch, delta_unknot, d), name
+    starts = [(name, d) for name, d in small_knots.items() if d.n_crossings <= 6]
+    # R-perturbed starts that greedy reduction leaves above the knot's
+    # crossing number, under a cap above the knot's own.
+    starts += [(f"{name} perturbed {seed}",
+                random_perturb(small_knots[name], 10, seed=seed, max_extra=3))
+               for name, seed in (("3_1", 0), ("5_1", 0), ("5_2", 2), ("6_1", 2))]
+    for name, d in starts:
+        assert delta_unknot(d).to_json() == reference_run(
+            monkeypatch, delta_unknot, d), name
+
+
+@pytest.mark.parametrize("r3_budget", [2, 5, 12])
+def test_searches_match_reference_when_r3_explorations_stop(monkeypatch, small_knots, r3_budget):
+    # Under a small R3 budget explorations stop unfinished; the memo records
+    # none of them, so every search still matches the reference.
+    monkeypatch.setattr(search, "R3_BUDGET", r3_budget)
+    explored, _ = record_search(monkeypatch)
+    for d in (small_knots["5_1"], small_knots["6_1"],
+              random_perturb(small_knots["5_2"], 10, seed=2, max_extra=3)):
+        assert delta_unknot(d).to_json() == reference_run(monkeypatch, delta_unknot, d)
+    # A start whose exploration stopped is explored again when it recurs.
+    stopped = [key for key, done in explored if not done]
+    assert len(stopped) > len(set(stopped))
 
 
 BFS_CASES = [("3_1", "unknot", {"B2"}, 4000), ("5_2", "unknot", {"B3"}, 400),
@@ -304,49 +325,153 @@ def test_bfs_path_matches_reference(monkeypatch, small_knots, a, b, kinds, budge
         monkeypatch, bfs_path, d1, d2, kinds, budget)
 
 
-def count_explorations(monkeypatch):
-    """Record the greedy-reduced starts a search sees and the ones it explores."""
-    reduced, explored = [], []
+def record_search(monkeypatch):
+    """Record the R3 explorations a search runs, as (start key, finished),
+    and its simplifier's calls, as (input, result, explorations run)."""
+    explored, calls = [], []
 
-    def greedy(d):
-        out = greedy_reduce(d)
-        reduced.append((out[0].crossings, out[0].free_loops))
+    def explore(start, script, r3_budget):
+        out = _explore_r3(start, script, r3_budget)
+        explored.append((start.key, out[2]))
         return out
 
-    def explore(d, r3_budget):
-        explored.append((d.crossings, d.free_loops))
-        return simplify(d, r3_budget)
+    def simplifier(r3_budget, make=search._simplifier):
+        inner = make(r3_budget)
 
-    monkeypatch.setattr(search, "greedy_reduce", greedy)
-    monkeypatch.setattr(search, "simplify", explore)
-    return reduced, explored
+        def simplify_once(d):
+            before = len(explored)
+            out = inner(d)
+            calls.append((d, out, len(explored) - before))
+            return out
+
+        return simplify_once
+
+    monkeypatch.setattr(search, "_explore_r3", explore)
+    monkeypatch.setattr(search, "_simplifier", simplifier)
+    return explored, calls
 
 
-@pytest.mark.parametrize("name, run", [
+MEMO_CASES = [
     ("5_1", lambda d, knots: delta_unknot(d)),
     ("granny", lambda d, knots: delta_unknot(d)),
     ("5_2", lambda d, knots: bfs_path(d, knots["unknot"], {"B3"}, 400)),
     ("4_1", lambda d, knots: bfs_path(d, knots["3_1"], {"B2", "B3"}, 300)),
-])
+]
+
+
+@pytest.mark.parametrize("name, run", MEMO_CASES)
 def test_each_reduced_start_explored_once(monkeypatch, small_knots, name, run):
-    reduced, explored = count_explorations(monkeypatch)
+    # No start key is explored again once an exploration from it finished.
+    explored, calls = record_search(monkeypatch)
     run(small_knots[name], small_knots)
-    goal = {"5_2": "unknot", "4_1": "3_1"}.get(name)
-    if goal is not None:  # bfs_path simplifies its goal first, outside the search
-        g = small_knots[goal]
-        assert explored.pop(0) == (g.crossings, g.free_loops)
-    assert len(reduced) > len(set(reduced))  # starts do repeat
-    assert len(explored) == len(set(explored)) == len(set(reduced))
+    for i, (key, _) in enumerate(explored):
+        assert key not in {k for k, done in explored[:i] if done}
+    assert all(done for _, done in explored)
+    assert len(calls) > len(explored) > 1  # starts do repeat
+
+
+@pytest.mark.parametrize("name, run", MEMO_CASES)
+def test_dropped_neighbours_are_never_explored(monkeypatch, small_knots, name, run):
+    # A neighbour the memo drops runs no exploration, and simplify gives it a
+    # result the explorer would drop too: above the cap, or a key it kept.
+    explored, calls = record_search(monkeypatch)
+    d = small_knots[name]
+    run(d, small_knots)
+    cap = d.n_crossings + search.CAP_EXTRA
+    kept, drops = set(), 0
+    for raw, out, n_explored in calls:
+        if out is None:
+            assert n_explored == 0
+            best = simplify(raw, search.R3_BUDGET)[0]
+            assert best.n_crossings > cap or best.key in kept, name
+            drops += 1
+        else:
+            assert n_explored == 1
+            if out[0].n_crossings <= cap:
+                kept.add(out[0].key)
+    assert drops > 0
 
 
 def test_back_to_back_searches_keep_nothing(monkeypatch, small_knots):
-    reduced, explored = count_explorations(monkeypatch)
+    explored, _ = record_search(monkeypatch)
     first = delta_unknot(small_knots["6_1"]).to_json()
-    n, m = len(explored), len(reduced)
-    assert n == len(set(reduced)) > 1
+    n = len(explored)
+    assert n > 1
     assert delta_unknot(small_knots["6_1"]).to_json() == first
-    # The second search explores every start again: no memo outlives a call.
-    assert explored[n:] == explored[:n] and reduced[m:] == reduced[:m]
+    # The second search explores the same start keys again: no memo outlives
+    # a call.
+    assert explored[n:] == explored[:n]
+
+
+def _relabelled_copy(d: Diagram, rng: random.Random) -> Diagram:
+    """d under random edge labels and crossing order, each record maybe
+    rotated by two slots (the PD gauge)."""
+    edges = d.edges()
+    mapping = dict(zip(edges, rng.sample(range(1, 10 * len(edges) + 2), len(edges))))
+    records = [c.relabeled(mapping).rotated(rng.choice((0, 2))) for c in d.crossings]
+    rng.shuffle(records)
+    return Diagram(tuple(records), d.free_loops)
+
+
+def _removal_ends(d: Diagram, memo: dict) -> set[str]:
+    """The keys of the diagrams every maximal order of R1/R2 removals ends in."""
+    state = (d.crossings, d.free_loops)
+    if state not in memo:
+        sites = r1_removal_sites(d) + r2_removal_sites(d)
+        ends = [_removal_ends(apply_move(d, site), memo) for site in sites]
+        memo[state] = set().union(*ends) if sites else {d.key}
+    return memo[state]
+
+
+def _r3_walk(start: Diagram) -> tuple:
+    """The keys an R3 exploration from start visits, its expansion count,
+    and its result's (n_crossings, key) and finished flag."""
+    walk = _Explorer(start, [], _r3_steps, greedy_reduce, search.R3_BUDGET, start.n_crossings)
+    keys = {key for _, key, _ in walk}
+    best, _, finished = _explore_r3(start, [], search.R3_BUDGET)
+    return keys, walk.expansions, (best.n_crossings, best.key), finished
+
+
+def test_an_r3_exploration_finishes_only_under_its_budget(knots):
+    # An exploration that needs all of its budget may leave states with no
+    # slides on the frontier, depending on the order of its steps, so it
+    # does not count as finished.
+    diagrams = [p for d in knots.values()
+                for p in [d] + [random_perturb(d, 14, seed=seed, max_extra=8) for seed in range(3)]]
+    spent = 0
+    for d in diagrams:
+        start = greedy_reduce(d)[0]
+        walk = _Explorer(start, [], _r3_steps, greedy_reduce, 10**6, start.n_crossings)
+        best = min((f.n_crossings, key) for f, key, _ in walk)
+        n = walk.expansions
+        got = _explore_r3(start, [], n + 1)
+        assert (got[0].n_crossings, got[0].key, got[2]) == (*best, True)
+        if n:
+            assert not _explore_r3(start, [], n)[2]
+            spent += 1
+    assert spent > 15  # most reduced starts have no R3 slide
+
+
+def test_simplify_result_depends_only_on_the_key(knots):
+    # What the search memo rests on: every order of R1/R2 removals ends in
+    # one key, and relabelled copies reduce to that key and explore by R3 the
+    # same key set, with the same expansion count and result.
+    rng = random.Random(5)
+    diagrams = [random_perturb(d, 14, seed=seed, max_extra=8)
+                for d in knots.values() for seed in range(5)]
+    removals = finished = 0
+    for d in diagrams:
+        start = greedy_reduce(d)[0]
+        assert _removal_ends(d, {}) == {start.key}, d.crossings
+        removals += start.n_crossings < d.n_crossings
+        want = _r3_walk(start)
+        finished += want[3]
+        for _ in range(3):
+            copy = greedy_reduce(_relabelled_copy(d, rng))[0]
+            assert copy.key == start.key, d.crossings
+            if want[3]:
+                assert _r3_walk(copy) == want, d.crossings
+    assert removals > len(diagrams) // 2 and finished > len(diagrams) // 2
 
 
 @pytest.mark.parametrize("steps, reduce", [(_r3_steps, lambda f: (f, [])),
@@ -397,7 +522,10 @@ def test_explorer_applies_the_callers_crossing_cap(monkeypatch, small_knots):
 
             def reduce(frag):
                 out = inner(frag)
-                self.reduced.append(out[0].n_crossings)
+                # A neighbour the search memo drops counts with the crossings
+                # simplify gives it.
+                best = simplify(frag, search.R3_BUDGET)[0] if out is None else out[0]
+                self.reduced.append(best.n_crossings)
                 return out
 
             self.reduce = reduce
@@ -436,5 +564,6 @@ def test_explorer_applies_the_callers_crossing_cap(monkeypatch, small_knots):
             assert max(walk.yielded, default=0) <= walk.cap
     for walk, cap in callers:
         assert max(walk.yielded) <= cap
-    # Not vacuous: the cap dropped neighbours the explorers reduced.
+    # Not vacuous: the cap dropped neighbours the explorers reduced or the
+    # memo dropped unexplored.
     assert sum(n > cap for walk, cap in callers for n in walk.reduced) > 0
