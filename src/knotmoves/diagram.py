@@ -422,14 +422,37 @@ class Diagram(Fragment):
         return [divmod(mate[p], 4) for p in self.knot_walk]
 
     @cached_property
+    def gauss_chords(self) -> list[tuple[int, int, bool, int]]:
+        """The Gauss chord table: ``(f, g, over, sign)`` per crossing, in
+        order of its first passage.
+
+        The crossing is passed at steps f < g of the knot walk, ``over``
+        says the passage at f goes over (it is the arrow's tail), and the
+        sign is +1 iff the two arrival slots sum to 3 mod 4 (the under
+        strand arrives in an even slot).
+        """
+        mate = self._slots[0]
+        row = [-1] * self.n_crossings
+        chords: list = []
+        for g, p in enumerate(self.knot_walk):
+            a = mate[p]
+            j = row[a >> 2]
+            if j < 0:
+                # The first passage holds the row: its step and arrival slot.
+                row[a >> 2] = len(chords)
+                chords.append((g, a))
+                continue
+            f, a0 = chords[j]
+            chords[j] = (f, g, a0 % 2 == 1, 1 if (a + a0) & 3 == 3 else -1)
+        return chords
+
+    @cached_property
     def signs(self) -> tuple[int, ...]:
-        """Crossing signs derived from the canonical traversal."""
-        u_in = [-1] * self.n_crossings
-        o_in = [-1] * self.n_crossings
-        for ci, slot in self.passages:
-            (o_in if slot % 2 else u_in)[ci] = slot
-        return tuple(0 if u < 0 else 1 if (o - u) % 4 == 3 else -1
-                     for u, o in zip(u_in, o_in))
+        """Crossing signs, read off the Gauss chord table."""
+        signs = [0] * self.n_crossings
+        for f, _, _, sign in self.gauss_chords:
+            signs[self.passages[f][0]] = sign
+        return tuple(signs)
 
     def writhe(self) -> int:
         return sum(self.signs)
@@ -438,11 +461,12 @@ class Diagram(Fragment):
     def gauss_pattern(self) -> tuple[int, ...]:
         """The signed Gauss word up to rotation, reversal and relabelling.
 
-        Passage i of the knot walk gets the code ``4*b + t``: b is the
-        number of steps back to the other passage of its crossing, and t
-        the tail rank of the key, ``under*2 + (sign < 0)``.  The pattern is
-        the least rotation of this list, over both directions; reversal
-        maps b to ``m - b`` for m passages.
+        Passage i of the knot walk gets the code ``4*b + t``, read off
+        ``gauss_chords``: b is the number of steps back (cyclically) to the
+        other passage of its crossing, and t the tail rank of the key,
+        ``under*2 + (sign < 0)``.  The pattern is the least rotation of
+        this list, over both directions; reversal maps b to ``m - b`` for m
+        passages.
 
         Complete: one rotation of the codes gives the Gauss word with its
         crossings labelled by first passage (a passage starts a new label
@@ -454,26 +478,13 @@ class Diagram(Fragment):
         """
         if not self.crossings:
             return ()
-        mate = self._slots[0]
-        walk = self.knot_walk
-        m = len(walk)
-        first = [-1] * self.n_crossings
+        m = 2 * self.n_crossings
         fwd = [0] * m
-        back = [0] * m
-        for i, p in enumerate(walk):
-            a = mate[p]
-            j = first[a >> 2]
-            if j < 0:
-                first[a >> 2] = i
-                continue
-            # The sign is +1 iff the two arrival slots sum to 3 mod 4; the
-            # under strand arrives in an even slot.
-            a0 = mate[walk[j]]
-            neg = (a + a0) & 3 != 3
-            t, t0 = (~a & 1) * 2 + neg, (~a0 & 1) * 2 + neg
-            b = i - j
-            fwd[i], fwd[j] = 4 * b + t, 4 * (m - b) + t0
-            back[m - 1 - i], back[m - 1 - j] = 4 * (m - b) + t, 4 * b + t0
+        for f, g, over, sign in self.gauss_chords:
+            neg = sign < 0
+            fwd[f] = 4 * (m - g + f) + 2 * (not over) + neg
+            fwd[g] = 4 * (g - f) + 2 * over + neg
+        back = [4 * (m - (c >> 2)) + (c & 3) for c in reversed(fwd)]
         return tuple(min(_least_rotation(fwd), _least_rotation(back)))
 
     @cached_property
@@ -663,18 +674,13 @@ def emit_dt(d: Diagram) -> str:
     """Emit the DT code along the canonical traversal from the basepoint."""
     if not d.crossings:
         return ""
-    m = len(d.passages)
-    visits: dict[int, list[tuple[int, bool]]] = {}
-    # The basepoint edge leaves DT position 1, so the arrival at step i is
-    # position i+2 (cyclically).
-    for i, (ci, slot) in enumerate(d.passages):
-        visits.setdefault(ci, []).append(((i + 1) % m + 1, slot in (1, 3)))
+    m = 2 * d.n_crossings
     entries = {}
-    for ci, vv in visits.items():
-        (p1, over1), (p2, over2) = sorted(vv)
-        if p1 % 2 == 0:
-            (p1, over1), (p2, over2) = (p2, over2), (p1, over1)
-        if p1 % 2 == 0 or p2 % 2:
+    # The basepoint edge leaves DT position 1, so the arrival at step i is
+    # position i+2 (cyclically), which has the parity of i.
+    for f, g, over, _ in d.gauss_chords:
+        if (g - f) % 2 == 0:
             raise MalformedDiagram("diagram admits no odd/even DT labelling")
-        entries[p1] = p2 if over2 else -p2
+        odd, even, even_over = (f, g, not over) if f % 2 else (g, f, over)
+        entries[(odd + 1) % m + 1] = ((even + 1) % m + 1) * (1 if even_over else -1)
     return " ".join(str(entries[p]) for p in sorted(entries))

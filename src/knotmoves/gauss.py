@@ -2,10 +2,10 @@
 
 An arrow runs from the over-passage (tail) to the under-passage (head) of a
 crossing and carries its sign.  Passages are numbered 0..2n-1 from the
-basepoint; crossing a is passed first at f_a and again at g_a, and chords
-are ordered by f.  v2 and v3 are the Polyak-Viro (IMRN 1994) and
-Goussarov-Polyak-Viro (Topology 39, 2000) signed counts, each term weighted
-by the product of the signs:
+basepoint; crossing a is passed first at f_a and again at g_a, and the
+chords, ordered by f, are the diagram's ``gauss_chords``.  v2 and v3 are
+the Polyak-Viro (IMRN 1994) and Goussarov-Polyak-Viro (Topology 39, 2000)
+signed counts, each term weighted by the product of the signs:
 
 * v2: pairs a < b, a first passed as a head and b as a tail, with
   f_b < g_a < g_b (based pattern 0h1t0t1h);
@@ -65,17 +65,6 @@ def to_gauss(d: Diagram) -> GaussDiagram:
     return g
 
 
-def _chords(d: Diagram) -> list[tuple[int, int, bool, int]]:
-    """(f, g, first passage is the tail, sign) per crossing, sorted by f."""
-    passages, signs = d.passages, d.signs
-    first = [-1] * d.n_crossings
-    second = [-1] * d.n_crossings
-    for pos, (ci, _) in enumerate(passages):
-        (second if first[ci] >= 0 else first)[ci] = pos
-    return sorted((f, g, passages[f][1] % 2 == 1, signs[ci])
-                  for ci, (f, g) in enumerate(zip(first, second)))
-
-
 def _v2_count(chords) -> int:
     """Signed count of the pair pattern 0h1t0t1h."""
     total = 0
@@ -123,9 +112,9 @@ def _v3_count(chords) -> int:
 
 def v2(d: Diagram) -> int:
     """Order-2 Vassiliev invariant: signed count of one interleaved arrow pair."""
-    return _v2_count(_chords(d))
+    return _v2_count(d.gauss_chords)
 
 
 def v3(d: Diagram) -> int:
     """Order-3 Vassiliev invariant: signed count of five arrow-triple orders."""
-    return _v3_count(_chords(d))
+    return _v3_count(d.gauss_chords)

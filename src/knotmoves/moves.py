@@ -285,10 +285,10 @@ class _Explorer:
     spent, or once the frontier is empty, which sets ``exhausted``.
     ``reduce(raw)`` returns ``(fragment, extra_script)``, or None to drop
     the neighbour, and a reduced neighbour with more than ``cap`` crossings
-    is dropped.  The frontier is one heap, ranked by arrival (FIFO), or by
-    ``(score(fragment), n_crossings, arrival)`` when ``score`` is given.  A
-    state is pushed after it is yielded, so a caller that stops at its goal
-    never pays for scoring it.
+    is dropped and counted in ``capped``.  The frontier is one heap, ranked
+    by arrival (FIFO), or by ``(score(fragment), n_crossings, arrival)``
+    when ``score`` is given.  A state is pushed after it is yielded, so a
+    caller that stops at its goal never pays for scoring it.
 
     A neighbour whose exact state (records, legs and free loops) was already
     reached is skipped before it is built, reduced and keyed.  Reducing that
@@ -305,7 +305,7 @@ class _Explorer:
         self.start, self.script = start, script
         self.steps, self.reduce = steps, reduce
         self.budget, self.cap, self.score = budget, cap, score
-        self.expansions = 0
+        self.expansions = self.capped = 0
         self.exhausted = False
 
     def __iter__(self):
@@ -338,6 +338,7 @@ class _Explorer:
                     continue
                 nxt, extra = reduced
                 if nxt.n_crossings > cap:
+                    self.capped += 1
                     continue
                 key = nxt.key
                 if key in seen:

@@ -3,9 +3,10 @@
 Searches return replayable scripts (the move-script vocabulary of
 knotmoves.moves plus "switch" and "delta" rewrites).  A result with
 found=False says what stopped the search: the budget ran out ("budget
-exhausted"), or every state reachable under the crossing cap was explored
-("move graph exhausted under the crossing cap").  Neither is evidence that
-no path exists: a path may need more expansions, or larger intermediates.
+exhausted"), or every reachable state was explored ("move graph
+exhausted"), with the note "move graph exhausted under the crossing cap"
+when the cap dropped a neighbour on the way.  None is evidence that no
+path exists: a path may need more expansions, or larger intermediates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .moves import (Script, _Explorer, _explore_r3, _rewrite_steps, greedy_reduc
                     simplify)
 
 DEFAULT_BUDGET = 4000
-MOVE_KINDS = frozenset({"B2", "B3", "B4"})
+MOVE_KINDS = frozenset({"B2", "B3"})
 CAP_EXTRA = 4  # crossings an intermediate may have above the start
 R3_BUDGET = 200  # R3 expansions per reduced start
 
@@ -98,7 +99,9 @@ def _search(d: Diagram, steps, at_goal, budget: int, score=None) -> SearchResult
     for cur, key, script in walk:
         if at_goal(cur, key):
             return SearchResult(True, script, _move_count(script), walk.expansions)
-    note = "move graph exhausted under the crossing cap" if walk.exhausted else "budget exhausted"
+    note = "budget exhausted"
+    if walk.exhausted:
+        note = "move graph exhausted" + (" under the crossing cap" if walk.capped else "")
     return SearchResult(False, [], 0, walk.expansions, note)
 
 
@@ -106,10 +109,10 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
              budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Breadth-first search for a move path from d1 to d2.
 
-    movekinds is a subset of {"B2", "B3", "B4"}: order-2 moves are crossing
-    switches, order-3 moves are triangle flips with one optional R2 prep,
-    and order 4 has no rewrite repertoire cheap enough for the crossing cap
-    (so B4-only searches report the move graph exhausted).  Intermediate
+    movekinds is a subset of {"B2", "B3"}: order-2 moves are crossing
+    switches, order-3 moves are triangle flips with one optional R2 prep.
+    Order 4 has no rewrite repertoire cheap enough for the crossing cap, so
+    "B4" raises ValueError like any other unknown kind.  Intermediate
     diagrams are capped at n(d1) + CAP_EXTRA crossings.
     """
     bad = movekinds - MOVE_KINDS

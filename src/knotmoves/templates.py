@@ -499,14 +499,11 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
 
     Returns a replayable script of switches / triangle flips interleaved
     with Reidemeister moves, or None when the budget or the moves under the
-    crossing cap are exhausted (which is never a disproof).
+    crossing cap are exhausted (which is never a disproof).  Raises
+    ValueError unless 2 <= l < template.k.
     """
-    if l < 2:
-        raise ValueError("l must be at least 2")
-    if l > template.k:
-        raise ValueError("l must not exceed the template order")
-    if l == template.k:
-        return [("template", template.name)]
+    if not 2 <= l < template.k:
+        raise ValueError("l must be at least 2 and below the template order")
     goal_key = simplify(template.after, _R3_BUDGET)[0].key
     start, start_script = simplify(template.before, _R3_BUDGET)
 
@@ -525,8 +522,6 @@ def realize_by_lower(template: MoveTemplate, l: int, budget: int = 100_000):
 
 def replay_tangle_script(template: MoveTemplate, script: Script) -> bool:
     """Check a realize_by_lower certificate: before + script ~ after."""
-    if script == [("template", template.name)]:
-        return True
     goal, _ = simplify(template.after, _R3_BUDGET)
     final, _ = simplify(replay(template.before, script), _R3_BUDGET)
     return final.key == goal.key

@@ -151,6 +151,7 @@ def test_search_and_replay(tmp_path):
     (["--to", "", "--movekinds", "B2,"], "unsupported move kinds: ['']"),
     (["--to", "", "--budget", "-1"], "budget must be non-negative, got -1"),
     (["--delta-unknot", "--budget", "-5"], "budget must be non-negative, got -5"),
+    (["--to", "", "--movekinds", "B4"], "unsupported move kinds: ['B4']"),
 ])
 def test_search_bad_input_exit_2(args, message):
     code, records, err = run("search", "--from", "4 6 2", *args)

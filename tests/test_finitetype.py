@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from knotmoves.diagram import MalformedDiagram
+from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.finitetype import (alternating_sum, delta_v2_witness, group_checks,
                                   random_family, move_invariance_report, verify_type)
 from knotmoves.gauss import v2, v3
@@ -80,6 +80,7 @@ def test_verify_type_deeper_orders(small_knots):
 def test_move_invariance_report_order4(small_knots):
     rep = move_invariance_report(small_knots["5_2"], l=3, n_moves=8, seed=21)
     assert rep["pass"]
+    assert set(rep) == {"l", "steps", "v2_deltas_seen", "pass"}
     assert rep["v2_deltas_seen"] in ([], [0])
 
 
@@ -136,6 +137,40 @@ def test_group_checks(small_knots):
     assert v2(small_knots["3_1"]) + v2(small_knots["4_1"]) == 0
     assert ["3_1", "4_1"] in rep["inverses"]["v2_level"] \
         or ["4_1", "3_1"] in rep["inverses"]["v2_level"]
+
+
+def test_group_checks_report_only_the_verdict_and_inverses(small_knots):
+    assert set(group_checks(small_knots, pairs=3, seed=1)) == {"pass", "inverses"}
+
+
+def test_group_checks_fail_on_a_non_additive_v2(monkeypatch, small_knots):
+    from knotmoves import gauss
+
+    # Crossing counts add under connected sum, so their squares do not; sums
+    # still commute and associate, and the unknot is still an identity.
+    monkeypatch.setattr(gauss, "v2", lambda d: d.n_crossings ** 2)
+    assert not group_checks(small_knots, pairs=15, seed=3)["pass"]
+    assert group_checks(small_knots, pairs=0, seed=3)["pass"]
+
+
+def test_group_checks_fail_on_an_order_dependent_v2(monkeypatch, small_knots):
+    from knotmoves import gauss
+
+    # The sign of the first chord from the basepoint comes from the first
+    # summand of a connected sum, so it tells a#b from b#a but keeps
+    # associativity and the unknot as identity.  With no additive pairs
+    # drawn, only the commutativity checks can see it.
+    def first_sign(d):
+        return d.gauss_chords[0][3] if d.crossings else 0
+
+    monkeypatch.setattr(gauss, "v2", first_sign)
+    assert not group_checks(small_knots, pairs=0, seed=3)["pass"]
+    names = sorted(small_knots)
+    for a, b, c in zip(names, names[3:] + names[:3], names[7:] + names[:7]):
+        x, y, z = small_knots[a], small_knots[b], small_knots[c]
+        assert first_sign(x.connected_sum(y).connected_sum(z)) \
+            == first_sign(x.connected_sum(y.connected_sum(z)))
+        assert first_sign(Diagram.unknot().connected_sum(x)) == first_sign(x)
 
 
 def test_reports_deterministic(small_knots):

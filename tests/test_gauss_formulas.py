@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from knotmoves.diagram import Diagram
-from knotmoves.gauss import Arrow, GaussDiagram, _chords, _v2_count, _v3_count, to_gauss, v2, v3
+from knotmoves.gauss import Arrow, GaussDiagram, _v2_count, _v3_count, to_gauss, v2, v3
 from knotmoves.invariants import v2_conway, v2_jones, v3_jones
 from knotmoves.moves import random_perturb
 from knotmoves.templates import apply_chord, random_insert_chord
@@ -108,7 +108,7 @@ def test_position_counts_match_census_on_diagrams(knots):
             if p.n_crossings <= 12:
                 g = to_gauss(p)
                 assert _position_counts(g) == _census(g), name
-                assert (_v2_count(_chords(p)), _v3_count(_chords(p))) == _census(g), name
+                assert (_v2_count(p.gauss_chords), _v3_count(p.gauss_chords)) == _census(g), name
 
 
 def test_v2_calibration_anchors(unknot, right_trefoil, left_trefoil, knots):

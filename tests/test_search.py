@@ -133,13 +133,13 @@ def test_search_deterministic(left_trefoil, unknot):
     assert a.to_json() == b.to_json()
 
 
-def test_b4_paths_are_best_effort(small_knots):
-    # order-4 rewriting is not enumerated cheaply: the start has no step, so
-    # the move graph is exhausted at once, never an inequivalence claim
-    res = bfs_path(small_knots["granny"], small_knots["square"], {"B4"},
-                   budget=50)
-    assert not res.found and res.expansions == 0
-    assert res.note == "move graph exhausted under the crossing cap"
+def test_b4_is_refused(small_knots):
+    # Order 4 has no rewrite repertoire, so a B4 search would have no step
+    # at all; granny and square have equal v2, so clasp-pass moves do relate
+    # them.  The kind is refused rather than reported as an exhausted graph.
+    for kinds in ({"B4"}, {"B2", "B4"}):
+        with pytest.raises(ValueError, match="B4"):
+            bfs_path(small_knots["granny"], small_knots["square"], kinds, budget=50)
 
 
 # Scripts and expansion counts recorded before the exact-state skip and the
@@ -196,11 +196,11 @@ def test_bfs_path_mixed_b2_b3_golden(small_knots, unknot):
                                                     ["r2-", 1, 3, 2, 7],
                                                     ["r1-", 0], ["r1-", 0],
                                                     ["r1-", 0]]}
-    # The frontier empties before the budget does: 208 < 300 expansions.
+    # The frontier empties before the budget does: 208 < 300 expansions,
+    # and the crossing cap dropped no neighbour on the way.
     res = bfs_path(small_knots["4_1"], small_knots["3_1"], {"B2", "B3"}, budget=300)
     assert res.to_json() == {"found": False, "moves_used": 0, "expansions": 208,
-                             "note": "move graph exhausted under the crossing cap",
-                             "script": []}
+                             "note": "move graph exhausted", "script": []}
     # The budget is tested before a step is counted: the untried step that
     # the budget stops is not an expansion.
     res = bfs_path(small_knots["granny"], small_knots["square"], {"B2", "B3"},
@@ -211,7 +211,7 @@ def test_bfs_path_mixed_b2_b3_golden(small_knots, unknot):
 
 @pytest.mark.parametrize("budget, expansions, note", [
     (207, 207, "budget exhausted"), (208, 208, "budget exhausted"),
-    (209, 208, "move graph exhausted under the crossing cap")])
+    (209, 208, "move graph exhausted")])
 def test_search_note_at_the_budget_edge(small_knots, budget, expansions, note):
     # The 208th expansion is the last step there is, but the states still on
     # the frontier then (the unknot) are only found to have none once the
@@ -220,13 +220,31 @@ def test_search_note_at_the_budget_edge(small_knots, budget, expansions, note):
     assert (res.found, res.expansions, res.note) == (False, expansions, note)
 
 
+@pytest.mark.parametrize("name, run, expansions", [
+    pytest.param("4_1", lambda d, knots: bfs_path(d, knots["3_1"], {"B2", "B3"}, 300), 208,
+                 id="bfs_path-4_1-3_1"),
+    pytest.param("7_1", lambda d, knots: delta_unknot(d), 56, id="delta_unknot-7_1")])
+def test_cap_is_named_only_when_it_dropped_a_neighbour(monkeypatch, small_knots, name, run,
+                                                      expansions):
+    # A cap one crossing below the start drops neighbours, and the note says
+    # so; the usual cap drops none in these searches, and the note is silent.
+    d = small_knots[name]
+    with monkeypatch.context() as m:
+        m.setattr(search, "CAP_EXTRA", -1)
+        res = run(d, small_knots)
+        assert res.to_json() == reference_run(monkeypatch, run, d, small_knots)
+    assert (res.found, res.expansions, res.note) == (
+        False, expansions, "move graph exhausted under the crossing cap")
+    assert "crossing cap" not in run(d, small_knots).note
+
+
 # -- reference: every reduced start explored, every slide state built ----------
 
 class ReferenceExplorer(_Explorer):
     """The explorer loop before the pre-build test: each step is replayed in
     full, and its exact state tested against ``reached`` only then.  It
-    counts steps and sets ``exhausted`` as the explorer does: it is the
-    oracle for the skip, not for the budget."""
+    counts steps and cap drops and sets ``exhausted`` as the explorer does:
+    it is the oracle for the skip, not for the budget."""
 
     def __iter__(self):
         budget, cap, score = self.budget, self.cap, self.score
@@ -264,6 +282,7 @@ class ReferenceExplorer(_Explorer):
                 reached.add(state)
                 nxt, extra = self.reduce(nxt)
                 if nxt.n_crossings > cap:
+                    self.capped += 1
                     continue
                 key = nxt.key
                 if key in seen:

@@ -12,7 +12,9 @@ the 0-crossing unknot.  ``reference_slide_records`` is the triangle slide as
 it was written out slot by slot, the oracle for the one-rule slide.
 ``reference_face_rules`` is the co-facial and the interleave rule of the
 insertion glue, which the full member's Euler test replaced: the glue must
-refuse every chord set they refuse.
+refuse every chord set they refuse.  ``reference_gauss_chords`` pairs the
+reference passages as the Gauss formulas once did themselves, the oracle
+for ``Diagram.gauss_chords``.
 """
 
 import random
@@ -24,11 +26,12 @@ from typing import Sequence
 import pytest
 
 from knotmoves.corpus import corpus
-from knotmoves.diagram import Crossing, Dart, Diagram, Fragment, MalformedDiagram
+from knotmoves.diagram import (Crossing, Dart, Diagram, Fragment, MalformedDiagram,
+                               NotRealizable, parse_dt)
 from knotmoves import finitetype
 from knotmoves.finitetype import random_family
 from knotmoves.moves import (InapplicableMove, _bigon_faces, _classify_slide, _rebuild,
-                             _slide_records, apply_move, greedy_reduce,
+                             _slide_records, apply_move, greedy_reduce, r1_add,
                              r1_removal_sites, r2_add, r2_add_sites, r2_removal_sites,
                              random_perturb, replay, simplify, triangle_faces,
                              triangle_slide_sites)
@@ -177,6 +180,18 @@ def reference_signs(self) -> tuple[int, ...]:
         o_in = next(s for s in slots if s in (1, 3))
         signs[ci] = 1 if (o_in - u_in) % 4 == 3 else -1
     return tuple(signs)
+
+
+def reference_gauss_chords(self) -> list[tuple[int, int, bool, int]]:
+    """(f, g, first passage goes over, sign) per crossing, sorted by f: the
+    passages of each crossing paired, with its sign."""
+    passages, signs = reference_passages(self), reference_signs(self)
+    first = [-1] * self.n_crossings
+    second = [-1] * self.n_crossings
+    for pos, (ci, _) in enumerate(passages):
+        (second if first[ci] >= 0 else first)[ci] = pos
+    return sorted((f, g, passages[f][1] % 2 == 1, signs[ci])
+                  for ci, (f, g) in enumerate(zip(first, second)))
 
 
 # -- the dict-based move-site finders and R1/R2 additions ------------------------
@@ -457,6 +472,7 @@ def _check_diagram(d: Diagram) -> None:
     assert _darts(d, [d.knot_walk]) == [reference_knot_walk(d)]
     assert d.passages == reference_passages(d)
     assert d.signs == reference_signs(d)
+    assert d.gauss_chords == reference_gauss_chords(d)
     assert d.is_planar() == (len(reference_face_walks(d)) == d.n_crossings + 2)
 
 
@@ -530,6 +546,32 @@ def test_slot_walks_match_reference_off_the_plane(perturbed):
     for d in off:
         _check_diagram(d)
     assert sum(not d.is_planar() for d in off) > len(off) // 2
+
+
+def test_gauss_chords_match_reference_on_dt_codes_and_kinks(unknot):
+    # Random signed DT codes of 1-9 crossings, and kinks: alone, stacked,
+    # and on every edge of a trefoil, the basepoint edge among them.
+    rng = random.Random(41)
+    diagrams = []
+    for n in range(1, 10):
+        for _ in range(30):
+            evens = list(range(2, 2 * n + 1, 2))
+            rng.shuffle(evens)
+            try:
+                diagrams.append(parse_dt(" ".join(str(rng.choice((e, -e))) for e in evens)))
+            except NotRealizable:
+                pass
+    assert len(diagrams) > 100
+    for chirality in (1, -1):
+        d = unknot
+        for _ in range(3):
+            d = r1_add(d, max(d.edges(), default=0), chirality)
+            diagrams.append(d)
+        trefoil = parse_dt("4 6 2")
+        diagrams += [r1_add(trefoil, e, chirality) for e in trefoil.edges()]
+    for d in diagrams:
+        assert d.gauss_chords == reference_gauss_chords(d), d.crossings
+        assert d.signs == reference_signs(d)
 
 
 def test_dart_lookup_matches_list_index(perturbed):

@@ -243,9 +243,8 @@ def test_template_inverse_returns(left_trefoil):
         == list(left_trefoil.crossings)
 
 
-def test_realize_by_lower_trivial_and_delta():
+def test_realize_by_lower_delta():
     templates = builtin_templates()
-    assert realize_by_lower(templates[3], 3) == [("template", "triangle-flip")]
     script = realize_by_lower(templates[3], 2, budget=50_000)
     assert script is not None
     assert sum(1 for e in script if e[0] == "switch") == 2
@@ -256,6 +255,10 @@ def test_realize_by_lower_rejects_bad_order():
     templates = builtin_templates()
     with pytest.raises(ValueError):
         realize_by_lower(templates[3], 1)
+    # A template is not its own realization by order-k moves: l stays below k.
+    for tpl in templates.values():
+        with pytest.raises(ValueError):
+            realize_by_lower(tpl, tpl.k)
     with pytest.raises(ValueError):
         realize_by_lower(templates[3], 4)
 
