@@ -54,6 +54,26 @@ class Crossing(NamedTuple):
 Dart = tuple[int, int]
 
 
+class _lazy:
+    """``cached_property`` without the RLock that Python 3.10 and 3.11 take
+    on each first read: the value goes into the instance ``__dict__``, which
+    later reads find before this non-data descriptor.  For the private
+    caches; ``canonical_key`` stays a ``cached_property``."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Fragment:
     """Crossing soup with optional boundary legs and free (crossing-less) loops.
 
@@ -84,7 +104,7 @@ class Fragment:
         _, dart, order = self._slots
         return [dart[p][0] for p in order[0::2]]
 
-    @cached_property
+    @_lazy
     def _slots(self) -> tuple[list[int], list[Dart], list[int]]:
         """(mate, dart, order): the slot tables and the codes sorted by dart.
 
@@ -197,14 +217,14 @@ class Fragment:
         """
         return self._face_darts
 
-    @cached_property
+    @_lazy
     def _face_darts(self) -> list[list[Dart]]:
         if not self.crossings and self.free_loops == 1 and not self.legs:
             return [[(0, 0)], [(0, 1)]]
         dart = self._slots[1]
         return [[dart[p] for p in walk] for walk in self._face_walks]
 
-    @cached_property
+    @_lazy
     def _face_walks(self) -> list[list[int]]:
         """The face walks as the codes they leave from (none for a bare circle)."""
         mate, _, order = self._slots
@@ -357,7 +377,7 @@ class Diagram(Fragment):
         if check:
             self.validate()
 
-    @cached_property
+    @_lazy
     def basepoint(self) -> int:
         """The basepoint edge: the one given, else the least edge id."""
         if not self.crossings:
@@ -396,7 +416,7 @@ class Diagram(Fragment):
 
     # -- derived orientation data ---------------------------------------
 
-    @cached_property
+    @_lazy
     def knot_walk(self) -> list[int]:
         """Canonical traversal, as the slot codes it leaves from.
 
@@ -415,13 +435,13 @@ class Diagram(Fragment):
             p = other if under & 3 == 0 else under
         return self._strand_walk(p)
 
-    @cached_property
+    @_lazy
     def passages(self) -> list[tuple[int, int]]:
         """(crossing index, arrival slot) at each traversal step."""
         mate = self._slots[0]
         return [divmod(mate[p], 4) for p in self.knot_walk]
 
-    @cached_property
+    @_lazy
     def gauss_chords(self) -> list[tuple[int, int, bool, int]]:
         """The Gauss chord table: ``(f, g, over, sign)`` per crossing, in
         order of its first passage.
@@ -446,7 +466,7 @@ class Diagram(Fragment):
             chords[j] = (f, g, a0 % 2 == 1, 1 if (a + a0) & 3 == 3 else -1)
         return chords
 
-    @cached_property
+    @_lazy
     def signs(self) -> tuple[int, ...]:
         """Crossing signs, read off the Gauss chord table."""
         signs = [0] * self.n_crossings
@@ -457,7 +477,7 @@ class Diagram(Fragment):
     def writhe(self) -> int:
         return sum(self.signs)
 
-    @cached_property
+    @_lazy
     def gauss_pattern(self) -> tuple[int, ...]:
         """The signed Gauss word up to rotation, reversal and relabelling.
 
@@ -535,30 +555,52 @@ class Diagram(Fragment):
 _PD_TOKEN = re.compile(r"X\s*[\(\[]\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*[\)\]]")
 
 
+# Gauss patterns of diagrams that passed the Euler test, cleared when it
+# holds _KEY_MEMO of them.
+_PLANAR_PATTERNS: set[tuple[int, ...]] = set()
+
+
 def parse_pd(text: str) -> Diagram:
     """Parse ``X(a,b,c,d)`` tuples (ccw from the incoming under-strand).
 
     The empty string gives the 0-crossing unknot.  The basepoint is the
     lowest-numbered edge.  Codes that fail the Euler test raise NotRealizable.
+
+    The Euler test runs once per Gauss pattern in a process
+    (``_PLANAR_PATTERNS``).  That is sound because the signed Gauss word
+    fixes the ribbon graph: at each crossing, over/under and the sign fix
+    the ccw order of the four edge ends (the under strand arrives in slot 0,
+    the over strand in slot 3 when positive and in slot 1 when negative, up
+    to the two-slot gauge), and consecutive passages share an edge, so the
+    word fixes the face walks.  Relabelling and rotation rename the walks;
+    reversal swaps each strand's in and out ends, which is the two-slot
+    gauge, and keeps the signs.  Only a diagram that passed the test adds
+    its pattern, so a code without a planar realization always raises.
     """
     stripped = text.strip()
     if not stripped:
         return Diagram.unknot()
-    crossings = []
-    pos = 0
-    for m in _PD_TOKEN.finditer(stripped):
-        if stripped[pos:m.start()].strip(" ,;\t\n"):
-            raise MalformedDiagram(
-                f"unexpected text in PD code: {stripped[pos:m.start()]!r}")
-        crossings.append(Crossing(tuple(int(g) for g in m.groups())))  # type: ignore[arg-type]
-        pos = m.end()
-    if stripped[pos:].strip(" ,;\t\n"):
+    # sub removes the matches finditer would yield, so the gaps left over
+    # are all separators exactly when each gap is.
+    if _PD_TOKEN.sub("", stripped).strip(" ,;\t\n"):
+        pos = 0
+        for m in _PD_TOKEN.finditer(stripped):
+            if stripped[pos:m.start()].strip(" ,;\t\n"):
+                raise MalformedDiagram(
+                    f"unexpected text in PD code: {stripped[pos:m.start()]!r}")
+            pos = m.end()
         raise MalformedDiagram(f"unexpected text in PD code: {stripped[pos:]!r}")
+    crossings = [Crossing((int(a), int(b), int(c), int(d)))
+                 for a, b, c, d in _PD_TOKEN.findall(stripped)]
     if not crossings:
         raise MalformedDiagram("no X(a,b,c,d) tuples found")
     d = Diagram(crossings)
-    if not d.is_planar():
-        raise NotRealizable(f"PD code {text!r} has no planar realization")
+    if d.gauss_pattern not in _PLANAR_PATTERNS:
+        if not d.is_planar():
+            raise NotRealizable(f"PD code {text!r} has no planar realization")
+        if len(_PLANAR_PATTERNS) >= _KEY_MEMO:
+            _PLANAR_PATTERNS.clear()
+        _PLANAR_PATTERNS.add(d.gauss_pattern)
     return d
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from knotmoves import cli, finitetype
 from knotmoves.corpus import corpus
-from knotmoves.diagram import emit_pd, parse_dt
+from knotmoves.diagram import Crossing, Diagram, emit_pd, parse_dt
 from knotmoves.invariants import vassiliev_report
 from knotmoves.moves import greedy_reduce, random_perturb
 from knotmoves.templates import builtin_templates
@@ -92,6 +92,39 @@ def test_invariants_rejects_a_nonplanar_pd_code(tmp_path):
     assert rec["record"] == "error" and rec["name"] == "np"
     assert "no planar realization" in rec["error"]
     assert "Traceback" not in err
+
+
+def test_a_nonplanar_pd_code_is_an_error_with_any_cache(tmp_path):
+    # Planar lines and relabelled copies of a non-planar code in one file:
+    # the non-planar lines give the same error records with a cold cache, a
+    # warm one, and a cache holding a valid record under their key.
+    nonplanar = [(14, 2, 1, 1), (12, 2, 13, 3), (4, 4, 5, 3), (5, 7, 6, 6), (10, 8, 11, 7),
+                 (9, 8, 10, 9), (13, 11, 14, 12)]
+    lines = [("trefoil", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"),
+             ("np", " ".join("X(%d,%d,%d,%d)" % c for c in nonplanar)),
+             ("trefoil+10", "X(11,14,12,15) X(13,16,14,11) X(15,12,16,13)"),
+             ("np+30", " ".join("X(%d,%d,%d,%d)" % tuple(e + 30 for e in c) for c in nonplanar)),
+             ("np+60", " ".join("X(%d,%d,%d,%d)" % tuple(e + 60 for e in c) for c in nonplanar))]
+    p = tmp_path / "mixed.tsv"
+    p.write_text("".join(f"{name}\t{code}\n" for name, code in lines))
+    errors = [{"record": "error", "name": name, "line": i,
+               "error": f"PD code {code!r} has no planar realization"}
+              for i, (name, code) in enumerate(lines, 1) if name.startswith("np")]
+    cache = tmp_path / "cache.jsonl"
+    runs = []
+    for _ in ("cold", "warm"):
+        code, records, err = run("invariants", str(p), "--cache", str(cache))
+        assert code == 0 and "Traceback" not in err
+        runs.append(strip_header(records))
+        assert [r for r in runs[-1] if r["record"] == "error"] == errors
+    assert runs[0] == runs[1]
+    [rec] = [json.loads(line) for line in cache.read_text().splitlines()]
+    rec["key"] = Diagram(map(Crossing, nonplanar)).canonical_key
+    cache.write_text(cache.read_text() + json.dumps(rec, sort_keys=True) + "\n")
+    with cli.Cache(str(cache)) as loaded:
+        assert loaded.get(rec["key"]) == rec["payload"]
+    code, records, _ = run("invariants", str(p), "--cache", str(cache))
+    assert code == 0 and strip_header(records) == runs[0]
 
 
 def test_family_command():

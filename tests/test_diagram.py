@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotmoves import diagram
 from knotmoves.corpus import corpus
 from knotmoves.diagram import (Crossing, Diagram, Fragment, MalformedDiagram, NotRealizable,
                                _pattern_key, emit_dt, emit_pd, parse_dt, parse_pd)
@@ -247,6 +248,85 @@ def test_parse_pd_errors():
         parse_pd(NONPLANAR_PD)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("abc X(1,1,2,2)", "unexpected text in PD code: 'abc '"),
+    ("X(1,1,2,2) junk X(3,3,4,4)", "unexpected text in PD code: ' junk '"),
+    ("X(1,1,2,2) tail", "unexpected text in PD code: ' tail'"),
+    ("X(1,1,2,2)\xa0X(3,3,4,4)", "unexpected text in PD code: '\\xa0'"),
+    (" , ; ", "no X(a,b,c,d) tuples found"),
+    ("X(1,2,3)", "unexpected text in PD code: 'X(1,2,3)'"),
+    ("X(1,1,2,2) X(1,2,3)", "unexpected text in PD code: ' X(1,2,3)'"),
+    ("garbage", "unexpected text in PD code: 'garbage'"),
+])
+def test_parse_pd_error_messages(text, message):
+    # Each message names the first gap that is not a separator, as written.
+    with pytest.raises(MalformedDiagram) as err:
+        parse_pd(text)
+    assert str(err.value) == message
+
+
+def test_gauss_pattern_fixes_planarity(knots):
+    # Reflecting the cyclic order at some crossings, X(a,b,c,d) -> X(a,d,c,b),
+    # keeps the strands and flips those crossings' signs; most results are
+    # not planar.  parse_pd runs the Euler test once per Gauss pattern, which
+    # is sound only if no pattern belongs to a planar and a non-planar diagram.
+    rng = random.Random(1)
+    seen: dict[tuple, list[bool]] = {}
+    for _, d in sorted(knots.items()):
+        for _ in range(40 if d.crossings else 0):
+            flip = set(rng.sample(range(d.n_crossings), rng.randint(0, d.n_crossings)))
+            r = Diagram([Crossing((a, e, c, b) if i in flip else (a, b, c, e))
+                         for i, ((a, b, c, e),) in enumerate(d.crossings)])
+            seen.setdefault(r.gauss_pattern, []).append(r.is_planar())
+    assert [p for p, verdicts in seen.items() if len(set(verdicts)) > 1] == []
+    verdicts = [v for vs in seen.values() for v in vs]
+    assert len(verdicts) >= 1000 and verdicts.count(False) >= 500 and verdicts.count(True) >= 100
+    assert len(seen) < 0.8 * len(verdicts)  # many patterns met more than once
+
+
+def _records(text: str) -> list[tuple[int, ...]]:
+    return [tuple(map(int, t.strip("X()").split(","))) for t in text.split()]
+
+
+def test_planar_memo_cannot_vouch_for_a_nonplanar_code(monkeypatch):
+    # The non-planar code and two relabelled copies of it share one pattern;
+    # with the memo cold and then warm, each raises with the exact message.
+    monkeypatch.setattr(diagram, "_PLANAR_PATTERNS", set())
+    planar = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+    records = _records(NONPLANAR_PD)
+    copies = [NONPLANAR_PD,
+              " ".join("X(%d,%d,%d,%d)" % tuple(e + 20 for e in c) for c in records),
+              " ".join(f"X({c},{d},{a},{b})" for a, b, c, d in reversed(records))]
+    assert len({Diagram(map(Crossing, _records(t))).gauss_pattern for t in copies}) == 1
+    for _ in ("cold", "warm"):
+        parse_pd(planar)
+        for text in copies:
+            with pytest.raises(NotRealizable) as err:
+                parse_pd(text)
+            assert str(err.value) == f"PD code {text!r} has no planar realization"
+    assert diagram._PLANAR_PATTERNS == {parse_pd(planar).gauss_pattern}
+    # A relabelled copy of a planar code skips the face walk.
+    assert "_face_walks" not in vars(parse_pd("X(11,14,12,15) X(13,16,14,11) X(15,12,16,13)"))
+
+
+def test_planar_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(diagram, "_PLANAR_PATTERNS", set())
+    monkeypatch.setattr(diagram, "_KEY_MEMO", 2)
+    for text in ("X(1,1,2,2)", "X(1,2,2,1)", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"):
+        parse_pd(text)
+    assert len(diagram._PLANAR_PATTERNS) == 1
+
+
+def test_parse_pd_reads_unicode_digits_and_separators():
+    # \d matches any Unicode decimal digit and int() reads it; the gaps
+    # may hold only spaces, commas, semicolons, tabs and newlines, and the
+    # ends of the text any whitespace.
+    for text in ("X(１,１,２,２)", "X(١,١,٢,٢)", "X(1,1,2,2);;", "\x0bX(1,1,2,2)\x0b"):
+        d = parse_pd(text)
+        assert d.crossings == (Crossing((1, 1, 2, 2)),)
+        assert d.canonical_key == "0o+;0u+"
+
+
 def test_trefoil_structure(left_trefoil):
     assert left_trefoil.n_crossings == 3
     assert left_trefoil.writhe() == -3
@@ -407,6 +487,16 @@ def test_canonical_key_stays_a_cached_property():
     # diagram.canonical_key.
     assert isinstance(Diagram.__dict__["canonical_key"], functools.cached_property)
     assert _pattern_key.__name__.startswith("_")
+
+
+def test_private_caches_are_computed_once_into_the_instance():
+    d = parse_dt("4 6 2")
+    for name in ("_slots", "_face_walks", "_face_darts", "basepoint", "knot_walk", "passages",
+                 "gauss_chords", "signs", "gauss_pattern"):
+        assert isinstance(vars(Diagram).get(name) or vars(Fragment)[name], diagram._lazy)
+        value = getattr(d, name)
+        assert vars(d)[name] is value and getattr(d, name) is value
+    assert Diagram(d.crossings, basepoint=3).basepoint == 3  # a given basepoint wins
 
 
 def test_validate_reports_components_before_a_missing_basepoint():
