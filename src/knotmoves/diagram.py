@@ -580,20 +580,17 @@ def parse_pd(text: str) -> Diagram:
     stripped = text.strip()
     if not stripped:
         return Diagram.unknot()
-    # sub removes the matches finditer would yield, so the gaps left over
-    # are all separators exactly when each gap is.
-    if _PD_TOKEN.sub("", stripped).strip(" ,;\t\n"):
-        pos = 0
-        for m in _PD_TOKEN.finditer(stripped):
-            if stripped[pos:m.start()].strip(" ,;\t\n"):
-                raise MalformedDiagram(
-                    f"unexpected text in PD code: {stripped[pos:m.start()]!r}")
-            pos = m.end()
-        raise MalformedDiagram(f"unexpected text in PD code: {stripped[pos:]!r}")
-    crossings = [Crossing((int(a), int(b), int(c), int(d)))
-                 for a, b, c, d in _PD_TOKEN.findall(stripped)]
-    if not crossings:
+    # One split: the gaps around the tuples, each followed by its tuple's ends.
+    parts = _PD_TOKEN.split(stripped)
+    step = _PD_TOKEN.groups + 1
+    for gap in parts[::step]:
+        if gap.strip(" ,;\t\n"):
+            raise MalformedDiagram(f"unexpected text in PD code: {gap!r}")
+    del parts[::step]
+    if not parts:
         raise MalformedDiagram("no X(a,b,c,d) tuples found")
+    ends = iter(map(int, parts))
+    crossings = list(map(Crossing, zip(ends, ends, ends, ends)))
     d = Diagram(crossings)
     if d.gauss_pattern not in _PLANAR_PATTERNS:
         if not d.is_planar():
@@ -605,24 +602,20 @@ def parse_pd(text: str) -> Diagram:
 
 
 def emit_pd(d: Diagram) -> str:
-    """Emit PD text with edges renumbered 1..2n along the canonical traversal."""
+    """Emit PD text with edges renumbered 1..2n along the canonical traversal.
+
+    One tuple per row of ``gauss_chords``, in order of first passage, each
+    starting at the arrival slot of its crossing's under passage."""
     if not d.crossings:
         return ""
-    number: dict[int, int] = {}
-    dart = d._slots[1]
-    for i, p in enumerate(d.knot_walk):
-        number[dart[p][0]] = i + 1
-    under_in: dict[int, int] = {}
-    order: list[int] = []
-    for ci, slot in d.passages:
-        if slot in (0, 2):
-            under_in[ci] = slot
-        if ci not in order:
-            order.append(ci)
+    mate, dart, _ = d._slots
+    walk = d.knot_walk
+    number = {dart[p][0]: i + 1 for i, p in enumerate(walk)}
     parts = []
-    for ci in order:
-        rotated = d.crossings[ci].rotated(under_in[ci])
-        parts.append("X(%d,%d,%d,%d)" % tuple(number[e] for e in rotated.ends))
+    for f, g, over, _ in d.gauss_chords:
+        q = mate[walk[g if over else f]]
+        parts.append("X(%d,%d,%d,%d)" % tuple(
+            number[e] for e in d.crossings[q >> 2].rotated(q & 3).ends))
     return " ".join(parts)
 
 

@@ -245,8 +245,7 @@ def v3_jones(d: Diagram) -> int:
     return _v3_from_jones(jones(d))
 
 
-def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT,
-                     n_crossings: int | None = None) -> dict:
+def vassiliev_report(d: Diagram, n_crossings: int | None = None) -> dict:
     """v2 and v3 from the Gauss-diagram route, with polynomial cross-checks.
 
     The Jones-derived checks are skipped (reported as None) when
@@ -261,7 +260,7 @@ def vassiliev_report(d: Diagram, jones_limit: int = BRACKET_CROSSING_LIMIT,
     g2, g3 = gauss.v2(d), gauss.v3(d)
     nabla = conway(d)
     n = d.n_crossings if n_crossings is None else n_crossings
-    v = jones(d, jones_limit) if n <= jones_limit else None
+    v = jones(d) if n <= BRACKET_CROSSING_LIMIT else None
     checks = {"v2_conway": g2 == nabla.coeff(2),
               "v2_jones": None if v is None else g2 == _v2_from_jones(v),
               "v3_jones": None if v is None else g3 == _v3_from_jones(v)}

@@ -271,7 +271,12 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]
     glue_order = sorted((i for i, c in enumerate(chords) if c.kind == "insert"),
                         key=lambda i: chords[i].sites)
     inserts = [chords[i] for i in glue_order]
-    blobs = [builtin_templates()[c.k].insertion(c.variant) for c in inserts]
+    templates = builtin_templates()
+    for c in inserts:
+        if c.k not in templates:
+            raise InvalidSite(f"no template of order {c.k}: builtin templates exist "
+                              f"for k in {sorted(templates)}")
+    blobs = [templates[c.k].insertion(c.variant) for c in inserts]
     for c, blob in zip(inserts, blobs):
         if len(c.sites) != blob.finger_count():
             raise InvalidSite("site count does not match tangle fingers")
@@ -475,7 +480,8 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
     `offset_base` shifts the subdivision offsets so several chords can cut
     the same edge at distinct points.
     """
-    if k not in builtin_templates():
+    template = builtin_templates().get(k)
+    if template is None:
         raise ValueError(f"builtin templates exist for k in {sorted(builtin_templates())}")
     used_edges = used_edges or set()
     walks = [w for w in d.face_walks()
@@ -488,7 +494,8 @@ def random_insert_chord(d: Diagram, k: int, rng: random.Random,
         if len(slots) < k:
             continue
         picks = sorted(rng.sample(range(len(slots)), k))
-        return Chord(k, "insert", tuple(slots[i] for i in picks), rng.randrange(2))
+        return Chord(k, "insert", tuple(slots[i] for i in picks),
+                     rng.randrange(len(template.insertions)))
     return None
 
 

@@ -7,12 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotmoves import diagram
+from knotmoves import diagram, gauss
 from knotmoves.corpus import corpus
 from knotmoves.diagram import (Crossing, Diagram, Fragment, MalformedDiagram, NotRealizable,
                                _pattern_key, emit_dt, emit_pd, parse_dt, parse_pd)
 from knotmoves.finitetype import random_family
 from knotmoves.gauss import to_gauss
+from knotmoves.invariants import v2_conway, v2_jones, v3_jones
 from knotmoves.moves import r1_add, random_perturb
 from knotmoves.templates import family
 
@@ -340,6 +341,25 @@ def test_pd_round_trip(left_trefoil, knots):
         assert again.canonical_key == d.canonical_key
 
 
+def test_emit_pd_text_is_pinned(knots):
+    # A round trip holds for any writer that keeps the diagram; this pins the
+    # text itself, so the tuple order and the edge numbering cannot drift.
+    # The 29 corpus entries with five R-perturbed copies of each, and the 20
+    # members of five seeded (3, 2) families: 194 diagrams of up to 31
+    # crossings.
+    diagrams = []
+    for _, d in sorted(knots.items()):
+        diagrams += [d] + [random_perturb(d, 12, s) for s in range(5)]
+    rng = random.Random(34)
+    for name in ("3_1", "4_1", "5_2", "7_4", "granny"):
+        members = family(random_family(knots[name], (3, 2), rng))
+        diagrams += [members[s] for s in sorted(members, key=sorted)]
+    assert len(diagrams) == 194
+    text = "\n".join(emit_pd(d) for d in diagrams)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "fbb2b3e3decdbb0736682b37e1635901e072a9f2d42cdaaa56c08117ab85e265"
+
+
 def test_basepoint_lowest_edge():
     d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
     assert d.basepoint == 1
@@ -624,6 +644,31 @@ def test_parse_dt_matches_reference_on_random_codes(knots):
         seen[want != "not realizable"].add(len(entries))
     assert seen[True] == set(range(3, 13))
     assert seen[False] == set(range(5, 13))
+
+
+def test_census_of_every_signed_dt_code_up_to_5_crossings():
+    # Every knot diagram has a signed DT code, so the n! orders of the even
+    # entries times the 2^n signs, for n = 1..5, give every knot diagram of
+    # up to 5 crossings: 4,282 codes, 342 diagrams up to relabelling.
+    codes = [" ".join(str(sign * even) for sign, even in zip(signs, evens))
+             for n in range(1, 6)
+             for evens in itertools.permutations(range(2, 2 * n + 1, 2))
+             for signs in product((1, -1), repeat=n)]
+    assert len(codes) == 4282
+    realizable, diagrams = 0, {}
+    for code in codes:
+        want = _dt_outcome(reference_parse_dt, code)
+        assert _dt_outcome(parse_dt, code) == want, code
+        if want != "not realizable":
+            realizable += 1
+            d = parse_dt(code)
+            diagrams.setdefault(d.canonical_key, d)
+    assert (realizable, len(diagrams)) == (4058, 342)
+    for key, d in diagrams.items():
+        assert parse_pd(emit_pd(d)).canonical_key == key
+        assert parse_dt(emit_dt(d)).canonical_key == key
+        assert gauss.v2(d) == v2_conway(d) == v2_jones(d), key
+        assert gauss.v3(d) == v3_jones(d), key
 
 
 def test_parse_dt_matches_search_on_long_codes(knots):

@@ -233,6 +233,20 @@ def test_site_samplers_reject_orders_without_a_template(left_trefoil):
             enumerate_sites(left_trefoil, k)
 
 
+def test_insert_chord_of_an_order_without_a_template_is_an_invalid_site(knots):
+    # Five sites of one face walk, as an order-4 draw plus one more cut: the
+    # glue refuses the order itself, as Chord.from_json refuses its record.
+    d = knots["3_1"]
+    draw = random_insert_chord(d, 4, random.Random(1))
+    edge, _, side = draw.sites[-1]
+    chord = Chord(5, "insert", draw.sites + ((edge, 9, side),))
+    with pytest.raises(InvalidSite, match=r"^no template of order 5: builtin templates "
+                                          r"exist for k in \[2, 3, 4\]$"):
+        band_sum(d, [chord])
+    with pytest.raises(InvalidSite):
+        Chord.from_json(chord.to_json())
+
+
 def test_template_inverse_returns(left_trefoil):
     # applying a switch twice restores the diagram (inverse template);
     # the record comes back gauge-rotated by two slots
