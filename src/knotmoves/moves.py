@@ -284,11 +284,14 @@ class _Explorer:
     the budget allows it; the walk stops once ``budget`` expansions are
     spent, or once the frontier is empty, which sets ``exhausted``.
     ``reduce(raw)`` returns ``(fragment, extra_script)``, or None to drop
-    the neighbour, and a reduced neighbour with more than ``cap`` crossings
-    is dropped and counted in ``capped``.  The frontier is one heap, ranked
-    by arrival (FIFO), or by ``(score(fragment), n_crossings, arrival)``
-    when ``score`` is given.  A state is pushed after it is yielded, so a
-    caller that stops at its goal never pays for scoring it.
+    the neighbour, and a step with records None is one whose neighbour the
+    caller knows ``reduce`` would drop: it is counted and dropped with
+    nothing built, reduced or keyed.  A reduced neighbour with more than
+    ``cap`` crossings is dropped and counted in ``capped``.  The frontier is
+    one heap, ranked by arrival (FIFO), or by ``(score(fragment),
+    n_crossings, arrival)`` when ``score`` is given.  A state is pushed
+    after it is yielded, so a caller that stops at its goal never pays for
+    scoring it.
 
     A neighbour whose exact state (records, legs and free loops) was already
     reached is skipped before it is built, reduced and keyed.  Reducing that
@@ -329,6 +332,8 @@ class _Explorer:
                 if self.expansions == budget:
                     return
                 self.expansions += 1
+                if records is None:
+                    continue
                 state = (records, base.legs, base.free_loops)
                 if state in reached:
                     continue
@@ -365,21 +370,33 @@ def _step(base: Fragment, *entries: tuple) -> tuple:
     return entries, base, (_switched if op == "switch" else _slide_records)(base, *fields)
 
 
-def _rewrite_steps(frag: Fragment, k: int):
+def _rewrite_steps(frag: Fragment, k: int, dropped: Callable[[tuple], bool] | None = None):
     """Order-k rewrites, then for k = 3 each R2 push followed by every flip
     of the pushed diagram.
 
-    Most of those flips lie away from the push, so greedy reduction strips
-    the push again and reaches a start seen before; expansion counts pin
-    this order, so the repeats stay.
+    Most of those flips lie away from the push.  A flip of the pushed
+    diagram whose entry is also one of frag's own flips, its twin, has three
+    old corners and three old edges, so it slides the same triangle; the
+    push's bigon survives it, and removing the bigon gives the twin's
+    neighbour up to relabelling.  Removals are confluent, so both neighbours
+    greedily reduce to one key.  Expansion counts pin this order, so these
+    steps stay.  ``dropped(records)``, when given, is asked about the
+    records of each twin, which this generator yielded first, and a step
+    whose twin it answers True for comes with records None.
     """
+    own = {}  # the records of each of frag's own rewrites
     for entry in _rewrites(frag, k):
-        yield _step(frag, entry)
+        step = _step(frag, entry)
+        own[entry] = step[2]
+        yield step
     for prep in r2_add_sites(frag) if k == 3 else ():
         # A listed push needs no check: apply it directly.
         pushed = r2_add(frag, *prep[1:])
         for entry in _rewrites(pushed, 3):
-            yield _step(pushed, prep, entry)
+            if dropped and entry in own and dropped(own[entry]):
+                yield (prep, entry), pushed, None
+            else:
+                yield _step(pushed, prep, entry)
 
 
 def _r3_steps(frag: Fragment):
@@ -414,13 +431,19 @@ def simplify(frag: Fragment, r3_budget: int = 1000) -> tuple[Fragment, Script]:
 
 
 def _explore_r3(start: Fragment, script: Script,
-                r3_budget: int) -> tuple[Fragment, Script, bool]:
+                r3_budget: int) -> tuple[Fragment, Script, set[str]]:
     """``simplify`` from a greedy-reduced start reached by script: the result,
-    its script, and whether the exploration finished (its frontier emptied
-    with fewer than ``r3_budget`` expansions spent)."""
-    walk = _Explorer(start, script, _r3_steps, greedy_reduce, r3_budget, start.n_crossings)
-    best, _, best_script = min(walk, key=lambda s: (s[0].n_crossings, s[1]))
-    return best, best_script, walk.exhausted and walk.expansions < r3_budget
+    its script, and the start's R3 class if the exploration finished (its
+    frontier emptied with fewer than ``r3_budget`` expansions spent), else
+    an empty set.  The class is every key it visited at the start's
+    crossing count."""
+    n = start.n_crossings
+    walk = _Explorer(start, script, _r3_steps, greedy_reduce, r3_budget, n)
+    visited = list(walk)
+    best, _, best_script = min(visited, key=lambda s: (s[0].n_crossings, s[1]))
+    if not walk.exhausted or walk.expansions >= r3_budget:
+        return best, best_script, set()
+    return best, best_script, {key for frag, key, _ in visited if frag.n_crossings == n}
 
 
 # -- random perturbation -------------------------------------------------------

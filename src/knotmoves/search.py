@@ -49,13 +49,16 @@ def _move_count(script: Script) -> int:
 
 
 def _simplifier(r3_budget: int):
-    """``simplify`` as the ``reduce`` of one search's explorer, memoized by key.
+    """``simplify`` as the ``reduce`` of one search's explorer, memoized by
+    key, and the ``dropped`` test of its twin steps (``_rewrite_steps``).
 
-    A neighbour whose greedy-reduced start has the key of a start whose R3
-    exploration finished earlier in the search is dropped (None) unexplored.
-    That exploration's result went to the same explorer, which kept its key
-    or dropped it above the crossing cap, and the neighbour's result would
-    have the same crossing count and key:
+    A neighbour whose greedy-reduced start has a key in ``finished`` is
+    dropped (None) unexplored.  ``finished`` holds the R3 class of every
+    start whose exploration finished earlier in the search: the keys it
+    visited at the start's crossing count.  That exploration's result went
+    to the same explorer, which kept its key or dropped it above the
+    crossing cap, and the neighbour's result would have the same crossing
+    count and key:
     - distinct R1/R2 removal sites that share no crossing commute;
     - two that share one (R1 and R2, or two R2 bigons) end in the same
       diagram up to relabelling;
@@ -66,31 +69,52 @@ def _simplifier(r3_budget: int):
     - R3 sites correspond under relabelling, so an exploration that
       finishes visits a key set, and spends an expansion count, that depend
       only on the start's key.  A start with the same key also finishes,
-      with the same best ``(n_crossings, key)``.
+      with the same best ``(n_crossings, key)``;
+    - a key visited at the start's count was reached by R3 slides alone,
+      since greedy reduction only lowers the count, and a slide undone is
+      an R3 slide: an exploration from any key of the class visits the
+      same keys and so ends as the start's did.
     Every other neighbour is explored, so each kept state and script is the
-    one ``simplify`` gives.  An exploration that stops at ``r3_budget`` is
-    not recorded.  A fresh set per search keeps nothing between calls.
+    one ``simplify`` gives.  An exploration that stops at ``r3_budget``
+    records nothing.
+
+    ``starts`` keeps the start key of every raw neighbour's records.  A twin
+    step reduces to its twin's start key, so ``dropped(records)`` is True
+    when the twin's start key is in ``finished``: the explorer then drops
+    the step before building it, as ``simplify_once`` would drop it after.
+    A knot diagram with crossings has no free loop, so its records alone
+    name its state.  Fresh sets per search keep nothing between calls.
     """
     finished: set[str] = set()
+    starts: dict[tuple, str] = {}
 
     def simplify_once(d: Diagram) -> tuple[Diagram, Script] | None:
         start, prefix = greedy_reduce(d)
+        starts[d.crossings] = start.key
         if start.key in finished:
             return None
-        best, script, done = _explore_r3(start, prefix, r3_budget)
-        if done:
-            finished.add(start.key)
+        best, script, members = _explore_r3(start, prefix, r3_budget)
+        finished.update(members)
         return best, script
 
-    return simplify_once
+    def dropped(records: tuple) -> bool:
+        return starts.get(records) in finished
+
+    return simplify_once, dropped
 
 
-def _search(d: Diagram, steps, at_goal, budget: int, score=None) -> SearchResult:
-    """Explore from the simplified d until ``at_goal(diagram, key)``.
+def _search(d: Diagram, orders: list[int], at_goal, budget: int, score=None) -> SearchResult:
+    """Explore by the order-k rewrites for k in orders from the simplified d
+    until ``at_goal(diagram, key)``.
 
     The explorer drops neighbours above the crossing cap; the start comes first.
     """
-    simplify_once = _simplifier(R3_BUDGET)
+    simplify_once, dropped = _simplifier(R3_BUDGET)
+
+    def steps(x: Diagram):
+        for k in orders:
+            yield from _rewrite_steps(x, k, dropped)
+
     # The memo is empty, so the start is not dropped; simplifying never adds
     # crossings, so it is under the cap.
     start, start_script = simplify_once(d)  # type: ignore[misc]
@@ -112,20 +136,18 @@ def bfs_path(d1: Diagram, d2: Diagram, movekinds: set[str],
     movekinds is a subset of {"B2", "B3"}: order-2 moves are crossing
     switches, order-3 moves are triangle flips with one optional R2 prep.
     Order 4 has no rewrite repertoire cheap enough for the crossing cap, so
-    "B4" raises ValueError like any other unknown kind.  Intermediate
+    "B4" raises ValueError like any other unknown kind, and so does an empty
+    set, which would give a search with no step.  Intermediate
     diagrams are capped at n(d1) + CAP_EXTRA crossings.
     """
+    if not movekinds:
+        raise ValueError("no move kind given")
     bad = movekinds - MOVE_KINDS
     if bad:
         raise ValueError(f"unsupported move kinds: {sorted(bad)}")
     goal = simplify(d2, R3_BUDGET)[0].canonical_key
     orders = sorted(int(kind[1:]) for kind in movekinds)
-
-    def steps(d: Diagram):
-        for k in orders:
-            yield from _rewrite_steps(d, k)
-
-    res = _search(d1, steps, lambda _, key: key == goal, budget)
+    res = _search(d1, orders, lambda _, key: key == goal, budget)
     if res.found and not res.expansions:
         return SearchResult(True, [], 0, 0, "already equivalent")
     return res
@@ -144,5 +166,4 @@ def delta_unknot(d: Diagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
     def score(x: Diagram) -> int:
         return x.n_crossings + 2 * abs(gauss.v2(x))
 
-    return _search(d, lambda x: _rewrite_steps(x, 3), lambda cur, _: cur.n_crossings == 0,
-                   budget, score)
+    return _search(d, [3], lambda cur, _: cur.n_crossings == 0, budget, score)

@@ -10,7 +10,8 @@ from knotmoves.diagram import Diagram, MalformedDiagram
 from knotmoves.gauss import v2
 from knotmoves.moves import (InapplicableMove, _Explorer, _explore_r3, _r3_steps, _rebuild,
                              _rewrite_steps, apply_move, greedy_reduce, r1_removal_sites,
-                             r2_removal_sites, random_perturb, replay, simplify)
+                             r2_removal_sites, random_perturb, replay, simplify,
+                             triangle_slide_sites)
 from knotmoves.search import bfs_path, delta_unknot, replay_path
 from knotmoves.templates import builtin_templates, realize_by_lower
 
@@ -104,6 +105,50 @@ def test_a_step_adds_at_most_two_crossings(small_knots):
     assert tight > 0  # an R2 push followed by a flip reaches the bound
 
 
+def test_a_twin_step_reduces_to_its_twins_start(small_knots):
+    # A flip of an R2-pushed diagram whose entry is also one of the
+    # diagram's own flips is marked as a twin, and its neighbour greedily
+    # reduces to the key of that own flip's: what lets a search drop it
+    # unbuilt once the twin's start finished.  Unmarked, the steps are the same.
+    twins = others = 0
+    for name, d in small_knots.items():
+        for p in (d, random_perturb(d, 4, seed=5)):
+            own = triangle_slide_sites(p, "delta")
+            steps = list(_rewrite_steps(p, 3, lambda records: True))
+            plain = list(_rewrite_steps(p, 3))
+            assert [e for e, _, _ in steps] == [e for e, _, _ in plain]
+            assert None not in [records for _, _, records in plain]
+            twin_keys = {entry: greedy_reduce(apply_move(p, entry))[0].key for entry in own}
+            pushed = {}
+            for (prep, entry), _, records in steps[len(own):]:
+                assert (records is None) == (entry in own), (name, prep, entry)
+                if records is None:
+                    if prep not in pushed:
+                        pushed[prep] = apply_move(p, prep)
+                    got = greedy_reduce(apply_move(pushed[prep], entry))[0]
+                    assert got.key == twin_keys[entry], (name, prep, entry)
+                twins += records is None
+                others += records is not None
+    assert twins > 0 and others > 0
+
+
+def test_a_twin_is_dropped_only_once_its_start_finished(small_knots):
+    # The simplifier's dropped test answers True for a twin's records only
+    # after simplify_once reduced them to a start whose R3 exploration
+    # finished; one that stopped at its budget (0 here) marks no twin.
+    # Two flips may give the same records.
+    d = small_knots["6_2"]
+    own = list(_rewrite_steps(d, 3))[:len(triangle_slide_sites(d, "delta"))]
+    for r3_budget, finishes in ((search.R3_BUDGET, True), (0, False)):
+        simplify_once, dropped = search._simplifier(r3_budget)
+        reduced = set()
+        for _, base, records in own:
+            assert dropped(records) is (finishes and records in reduced)
+            simplify_once(_rebuild(base, records))
+            reduced.add(records)
+            assert dropped(records) is finishes
+
+
 def state(frag):
     return frag.crossings, frag.legs, frag.free_loops
 
@@ -140,6 +185,13 @@ def test_b4_is_refused(small_knots):
     for kinds in ({"B4"}, {"B2", "B4"}):
         with pytest.raises(ValueError, match="B4"):
             bfs_path(small_knots["granny"], small_knots["square"], kinds, budget=50)
+
+
+def test_bfs_path_refuses_no_move_kind(small_knots):
+    # With no move kind the explorer has no step: "move graph exhausted"
+    # after 0 expansions would state a limit as a fact.
+    with pytest.raises(ValueError, match="no move kind"):
+        bfs_path(small_knots["3_1"], small_knots["unknot"], set())
 
 
 # Scripts and expansion counts recorded before the exact-state skip and the
@@ -296,12 +348,12 @@ class ReferenceExplorer(_Explorer):
 
 def reference_run(monkeypatch, search_fn, *args, **kwargs):
     """Run a search with the reference explorer, whose reduce runs
-    ``simplify`` on every neighbour."""
+    ``simplify`` on every neighbour, and with no twin step dropped."""
     with monkeypatch.context() as m:
         m.setattr(moves, "_Explorer", ReferenceExplorer)
         m.setattr(search, "_Explorer", ReferenceExplorer)
         m.setattr(search, "_simplifier",
-                  lambda r3_budget: lambda d: simplify(d, r3_budget))
+                  lambda r3_budget: (lambda d: simplify(d, r3_budget), None))
         return search_fn(*args, **kwargs).to_json()
 
 
@@ -351,11 +403,11 @@ def record_search(monkeypatch):
 
     def explore(start, script, r3_budget):
         out = _explore_r3(start, script, r3_budget)
-        explored.append((start.key, out[2]))
+        explored.append((start.key, bool(out[2])))
         return out
 
     def simplifier(r3_budget, make=search._simplifier):
-        inner = make(r3_budget)
+        inner, dropped = make(r3_budget)
 
         def simplify_once(d):
             before = len(explored)
@@ -363,7 +415,7 @@ def record_search(monkeypatch):
             calls.append((d, out, len(explored) - before))
             return out
 
-        return simplify_once
+        return simplify_once, dropped
 
     monkeypatch.setattr(search, "_explore_r3", explore)
     monkeypatch.setattr(search, "_simplifier", simplifier)
@@ -411,6 +463,28 @@ def test_dropped_neighbours_are_never_explored(monkeypatch, small_knots, name, r
     assert drops > 0
 
 
+def test_both_drops_fire_on_a_search(monkeypatch, small_knots):
+    # delta_unknot(5_1) drops twin steps unbuilt, and neighbours whose start
+    # is no explored start but lies in a finished R3 class, and still matches
+    # the reference, which keeps neither drop.
+    d = small_knots["5_1"]
+    want = reference_run(monkeypatch, delta_unknot, d)
+    marks = []
+
+    def steps(frag, k, dropped=None):
+        for step in _rewrite_steps(frag, k, dropped):
+            marks.append(step[2] is None)
+            yield step
+
+    monkeypatch.setattr(search, "_rewrite_steps", steps)
+    explored, calls = record_search(monkeypatch)
+    assert delta_unknot(d).to_json() == want == GOLDEN_DELTA["5_1"]
+    started = {key for key, _ in explored}
+    in_class = [raw for raw, out, _ in calls
+                if out is None and greedy_reduce(raw)[0].key not in started]
+    assert any(marks) and in_class
+
+
 def test_back_to_back_searches_keep_nothing(monkeypatch, small_knots):
     explored, _ = record_search(monkeypatch)
     first = delta_unknot(small_knots["6_1"]).to_json()
@@ -447,8 +521,8 @@ def _r3_walk(start: Diagram) -> tuple:
     and its result's (n_crossings, key) and finished flag."""
     walk = _Explorer(start, [], _r3_steps, greedy_reduce, search.R3_BUDGET, start.n_crossings)
     keys = {key for _, key, _ in walk}
-    best, _, finished = _explore_r3(start, [], search.R3_BUDGET)
-    return keys, walk.expansions, (best.n_crossings, best.key), finished
+    best, _, members = _explore_r3(start, [], search.R3_BUDGET)
+    return keys, walk.expansions, (best.n_crossings, best.key), bool(members)
 
 
 def test_an_r3_exploration_finishes_only_under_its_budget(knots):
@@ -464,7 +538,7 @@ def test_an_r3_exploration_finishes_only_under_its_budget(knots):
         best = min((f.n_crossings, key) for f, key, _ in walk)
         n = walk.expansions
         got = _explore_r3(start, [], n + 1)
-        assert (got[0].n_crossings, got[0].key, got[2]) == (*best, True)
+        assert (got[0].n_crossings, got[0].key, bool(got[2])) == (*best, True)
         if n:
             assert not _explore_r3(start, [], n)[2]
             spent += 1
@@ -491,6 +565,27 @@ def test_simplify_result_depends_only_on_the_key(knots):
             if want[3]:
                 assert _r3_walk(copy) == want, d.crossings
     assert removals > len(diagrams) // 2 and finished > len(diagrams) // 2
+
+
+def test_an_r3_class_explores_alike_from_each_member(knots):
+    # What the class memo rests on: each key a finished exploration visits
+    # at its start's crossing count starts an exploration with the same key
+    # set, expansion count, best and finished flag.
+    members = 0
+    for d in knots.values():
+        for seed in range(2):
+            start = greedy_reduce(random_perturb(d, 14, seed=seed, max_extra=8))[0]
+            want = _r3_walk(start)
+            if not want[3]:
+                continue
+            n = start.n_crossings
+            walk = _Explorer(start, [], _r3_steps, greedy_reduce, search.R3_BUDGET, n)
+            same_n = [f for f, _, _ in walk if f.n_crossings == n]
+            assert {f.key for f in same_n} == _explore_r3(start, [], search.R3_BUDGET)[2]
+            for f in same_n[1:]:
+                assert _r3_walk(f) == want, d.crossings
+            members += len(same_n) - 1
+    assert members > 20
 
 
 @pytest.mark.parametrize("steps, reduce", [(_r3_steps, lambda f: (f, [])),
