@@ -8,6 +8,8 @@ fixed up to mirror image, which none of the shipped checks depend on.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .diagram import Diagram, parse_dt
 
 _PRIME_DT = {
@@ -47,17 +49,26 @@ _COMPOSITES = {
 }
 
 
-def corpus(max_crossings: int | None = None, include_unknot: bool = False,
-           ) -> dict[str, Diagram]:
-    """Named corpus diagrams, optionally filtered by crossing count."""
-    out: dict[str, Diagram] = {}
-    if include_unknot:
-        out["unknot"] = Diagram.unknot()
+@lru_cache(maxsize=None)
+def _named() -> dict[str, Diagram]:
+    """Every corpus entry, the unknot first, built once per process."""
+    out = {"unknot": Diagram.unknot()}
     for name, code in _PRIME_DT.items():
         out[name] = parse_dt(code)
     for name, (a, b, mirror_b) in _COMPOSITES.items():
         d2 = out[b].mirror() if mirror_b else out[b]
         out[name] = out[a].connected_sum(d2)
-    if max_crossings is not None:
-        out = {k: v for k, v in out.items() if v.n_crossings <= max_crossings}
     return out
+
+
+def corpus(max_crossings: int | None = None, include_unknot: bool = False,
+           ) -> dict[str, Diagram]:
+    """Named corpus diagrams, optionally filtered by crossing count.
+
+    Each call returns a fresh dict, in table order, of diagrams built once
+    per process: they are immutable, so their face walks and Gauss chord
+    tables are shared by every caller.
+    """
+    return {name: d for name, d in _named().items()
+            if (include_unknot or name != "unknot")
+            and (max_crossings is None or d.n_crossings <= max_crossings)}

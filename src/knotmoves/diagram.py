@@ -366,6 +366,20 @@ def _pattern_key(pattern: tuple[int, ...]) -> str:
     return ";".join(words[k] for k in best)
 
 
+def _chord_pattern(chords: Sequence[tuple[int, int, bool, int]]) -> tuple[int, ...]:
+    """``Diagram.gauss_pattern`` of a Gauss chord table."""
+    if not chords:
+        return ()
+    m = 2 * len(chords)
+    fwd = [0] * m
+    for f, g, over, sign in chords:
+        neg = sign < 0
+        fwd[f] = 4 * (m - g + f) + 2 * (not over) + neg
+        fwd[g] = 4 * (g - f) + 2 * over + neg
+    back = [4 * (m - (c >> 2)) + (c & 3) for c in reversed(fwd)]
+    return tuple(min(_least_rotation(fwd), _least_rotation(back)))
+
+
 class Diagram(Fragment):
     """A closed single-component (knot) diagram with a marked basepoint edge."""
 
@@ -496,16 +510,7 @@ class Diagram(Fragment):
         signed Gauss words agree up to rotation, reversal and relabelling,
         which is when their canonical keys agree.
         """
-        if not self.crossings:
-            return ()
-        m = 2 * self.n_crossings
-        fwd = [0] * m
-        for f, g, over, sign in self.gauss_chords:
-            neg = sign < 0
-            fwd[f] = 4 * (m - g + f) + 2 * (not over) + neg
-            fwd[g] = 4 * (g - f) + 2 * over + neg
-        back = [4 * (m - (c >> 2)) + (c & 3) for c in reversed(fwd)]
-        return tuple(min(_least_rotation(fwd), _least_rotation(back)))
+        return _chord_pattern(self.gauss_chords)
 
     @cached_property
     def canonical_key(self) -> str:

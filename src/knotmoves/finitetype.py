@@ -13,19 +13,33 @@ from dataclasses import dataclass
 from . import gauss
 from .diagram import Diagram, MalformedDiagram
 from .moves import InapplicableMove
-from .templates import (Chord, InvalidSite, SingularFamily, _clash, apply_chord, family,
+from .templates import (Chord, InvalidSite, SingularFamily, _clash, apply_chord,
                         random_insert_chord, rewrite_chords)
 
-INVARIANTS = {"v2": gauss.v2, "v3": gauss.v3}
+# phi -> its Gauss-diagram count on a Gauss chord table
+INVARIANTS = {"v2": gauss._v2_count, "v3": gauss._v3_count}
 REWRITE_CHANCE = {2: 0.5, 3: 0.25}  # a chord's chance to be a switch or a flip
 
 
 def alternating_sum(fam: SingularFamily, phi: str) -> int:
-    """Sum of (-1)^|P| phi(K_P) over all subsets P of the chords."""
-    fn = INVARIANTS[phi]
+    """Sum of (-1)^|P| phi(K_P) over all subsets P of the chords.
+
+    phi is counted on each member's Gauss chord table, read off the full
+    member's walk with no member built (``templates._member_tables``): a
+    left-out insertion drops its blob's passages, a left-out switch swaps
+    over and under at its crossing and negates its sign, and a left-out
+    flip swaps the two consecutive passages across each side edge of its
+    triangle.  A side edge that the walk starts on puts its two passages at
+    steps m - 1 and 0, so each table is numbered afresh (f < g, the over
+    flag at f, rows sorted by f).  A refused family raises InvalidSite.
+    """
+    count = INVARIANTS[phi]
+    _, _, table = fam._plan
+    n = len(fam.chords)
     total = 0
-    for subset, diagram in family(fam).items():
-        total += (-1) ** len(subset) * fn(diagram)
+    for mask in range(1 << n):
+        subset = {i for i in range(n) if mask >> i & 1}
+        total += (-1) ** len(subset) * count(table(subset))
     return total
 
 
@@ -84,27 +98,20 @@ def verify_type(phi: str, orders: tuple[int, ...], trials: int, seed: int,
                 bases: dict[str, Diagram]) -> list[TrialRecord]:
     """Seeded random families of the given type; records every alternating sum.
 
-    Construction failures (site exhaustion) are reported, not fatal.
+    A draw that ``random_family`` refuses (site exhaustion, a plan off the
+    plane) is drawn again, up to ``trials * 20`` draws in all.
     """
     rng = random.Random(seed)
     names = sorted(bases)
     records = []
-    done = 0
     attempts = 0
-    while done < trials and attempts < trials * 20:
+    while len(records) < trials and attempts < trials * 20:
         attempts += 1
         name = names[rng.randrange(len(names))]
         fam = random_family(bases[name], orders, rng)
-        if fam is None:
-            continue
-        try:
-            s = alternating_sum(fam, phi)
-        except (InvalidSite, InapplicableMove, MalformedDiagram) as exc:
-            records.append(TrialRecord(done, name, orders, None,
-                                       f"construction failed: {exc}"))
-            continue
-        records.append(TrialRecord(done, name, orders, s))
-        done += 1
+        if fam is not None:
+            records.append(TrialRecord(len(records), name, orders,
+                                       alternating_sum(fam, phi)))
     return records
 
 

@@ -22,12 +22,13 @@ walk visits them; the side flag names the face via the dart (edge, side).
 Every chord goes through one pipeline, ``_glue_many``: it checks that no two
 chords of a family clash, applies the rewrites through ``apply_move``, cuts
 the host and numbers the new edges once, and returns the member that holds
-every chord with a builder that splices any member from that plan.  That
-full member is the family's one planarity gate: it is validated and must
-pass the Euler test.  A ``family`` keeps one such plan: its 2^l members are
-spliced unchecked from the cut of the full chord set, with left-out
-insertions rejoined and left-out rewrites swapped back; ``band_sum`` is the
-full member, and ``apply_chord`` the band sum of one chord.
+every chord with two builders: one splices any member from that plan, the
+other reads any member's Gauss chord table off the full member.  That full
+member is the family's one planarity gate: it is validated and must pass the
+Euler test.  A ``family`` keeps one such plan: its 2^l members are spliced
+unchecked from the cut of the full chord set, with left-out insertions
+rejoined and left-out rewrites swapped back; ``band_sum`` is the full
+member, and ``apply_chord`` the band sum of one chord.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, groupby, islice
+from itertools import accumulate, chain, combinations, groupby, islice
 from typing import Callable, Container, Iterable, Sequence
 
 from .diagram import Crossing, Diagram, Fragment, _IdJoiner
@@ -224,12 +225,24 @@ def _clash(d: Diagram, a: Chord, b: Chord) -> str | None:
     return None
 
 
-def _glue_many(d: Diagram, chords: Sequence[Chord]
-               ) -> tuple[Diagram, Callable[[Container[int]], Diagram]]:
+Table = list[tuple[int, int, bool, int]]  # a Gauss chord table, as ``Diagram.gauss_chords``
+
+
+@lru_cache(maxsize=1024)
+def _shifted_insertion(k: int, variant: int, delta: int) -> Tangle:
+    """Insertion blob ``variant`` of the order-k template with ``delta`` added
+    to every edge id, built once per process; callers must not change it."""
+    return builtin_templates()[k].insertion(variant).shifted(delta)
+
+
+def _glue_many(d: Diagram, chords: Sequence[Chord]) -> tuple[
+        Diagram, Callable[[Container[int]], Diagram], Callable[[Container[int]], Table]]:
     """The one chord pipeline: check a family's chords, apply its rewrites,
-    cut the host and shift every blob, once; return ``(full, member)``, the
-    member holding every chord and the builder ``member(subset)``, which
-    splices the member holding the chords whose indices are in ``subset``.
+    cut the host and shift every blob, once; return ``(full, member,
+    table)``, the member holding every chord and two builders:
+    ``member(subset)`` splices the member holding the chords whose indices
+    are in ``subset``, and ``table(subset)`` gives that member's Gauss chord
+    table with nothing spliced (``_member_tables``).
 
     No two chords may clash (``_clash``).  Each rewrite (a switch or a flip
     on d's own crossings) applies through ``apply_move``, whose refusal is
@@ -254,6 +267,12 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]
     edges < cut pieces < blobs, in that order; a rejoined piece keeps the id
     of the piece it starts from, so a member's ids rank as if only its
     chords were glued.
+
+    A member's crossings are laid out as the host's, with every rewrite
+    applied or swapped back in place, then each blob's it holds, blob after
+    blob in glue order.  So in the full member crossing ci < n is host
+    crossing ci, for a host of n crossings, and the blob crossings follow
+    in glue order, each blob's in its own record order.
     """
     for (i, a), (j, b) in combinations(enumerate(chords), 2):
         shared = _clash(d, a, b)
@@ -276,9 +295,8 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]
         if c.k not in templates:
             raise InvalidSite(f"no template of order {c.k}: builtin templates exist "
                               f"for k in {sorted(templates)}")
-    blobs = [templates[c.k].insertion(c.variant) for c in inserts]
-    for c, blob in zip(inserts, blobs):
-        if len(c.sites) != blob.finger_count():
+    for c in inserts:
+        if len(c.sites) != templates[c.k].insertion(c.variant).finger_count():
             raise InvalidSite("site count does not match tangle fingers")
     all_sites = [(ci, i, site) for ci, c in enumerate(inserts)
                  for i, site in enumerate(c.sites)]
@@ -319,7 +337,8 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]
             flanks[(ci, i)] = (pieces[j], pieces[j + 1])
 
     cut, _ = host._with_ends(new_ends)
-    blobs = [blob.shifted(base + (ci + 1) * _ID_BLOCK) for ci, blob in enumerate(blobs)]
+    blobs = [_shifted_insertion(c.k, c.variant, base + (ci + 1) * _ID_BLOCK)
+             for ci, c in enumerate(inserts)]
 
     def member(subset: Container[int]) -> Diagram:
         present = [i in subset for i in glue_order]
@@ -352,7 +371,80 @@ def _glue_many(d: Diagram, chords: Sequence[Chord]
     full.validate()
     if not full.is_planar():
         raise InvalidSite("insertion would leave the plane" if inserts else "diagram is not planar")
-    return full, member
+    owners = [-1] * host.n_crossings
+    for i, blob in zip(glue_order, blobs):
+        owners.extend([i] * blob.n_crossings)
+    return full, member, _member_tables(full, chords, owners)
+
+
+def _member_tables(full: Diagram, chords: Sequence[Chord], owners: Sequence[int]
+                   ) -> Callable[[Container[int]], Table]:
+    """The builder ``table(subset)``: the Gauss chord table of the member
+    holding the chords in ``subset``, read off the full member's rows.
+
+    ``owners[ci]`` is the insertion that glued crossing ci of ``full``, or
+    -1 for a host crossing (``_glue_many``'s layout).  Each chord the member
+    leaves out edits the full walk:
+
+    * insertion: its blob's steps are dropped; its fingers retract onto the
+      host edges, and blob crossings involve only blob strands.
+    * switch: its crossing's steps swap over and under, and its sign flips.
+    * flip: the two steps at the ends of each side edge of the triangle
+      trade places, since a triangle slide reverses the order in which each
+      strand meets its two corners and keeps each crossing's strands,
+      over/under and sign.  Side edges are host edges, which insertions
+      never cut, so the two steps are neighbours in every member, or the
+      walk's ends m - 1 and 0 when it starts on that edge.
+
+    The kept steps are then numbered afresh in walk order; after a flip,
+    each row is set to f < g with the over flag at f and the rows are
+    sorted by f, since a swap across the walk's start can change which
+    step of a corner comes first.  The member's own walk may start
+    elsewhere or run the other way, so the table is the member's up to
+    rotation and reversal: the same ``gauss_pattern``, v2 and v3.
+    """
+    rows, walk = full.gauss_chords, full.knot_walk
+    mate, dart, _ = full._slots
+    m = len(walk)
+    row_at = [0] * m  # step -> the row of the crossing passed there
+    for r, (f, g, _, _) in enumerate(rows):
+        row_at[f] = row_at[g] = r
+    crossing = [mate[walk[f]] >> 2 for f, _, _, _ in rows]  # per row
+    glued = [owners[ci] for ci in crossing]
+    glued_at = [glued[r] for r in row_at]  # per step
+    # chord index -> what its absence edits: the switched crossing's row, or
+    # the step after each side edge of a flip
+    edits = {i: crossing.index(c.sites[0]) if c.kind == "switch"
+             else [s for s, p in enumerate(walk) if dart[p][0] in c.sites[3:]]
+             for i, c in enumerate(chords) if c.kind != "insert"}
+
+    def table(subset: Container[int]) -> Table:
+        absent = {i for i in range(len(chords)) if i not in subset}
+        out = rows
+        edited = absent & edits.keys()
+        if edited:
+            out = list(rows)
+        flipped = False
+        for i in edited:
+            if chords[i].kind == "switch":
+                f, g, over, sign = out[edits[i]]
+                out[edits[i]] = f, g, not over, -sign
+                continue
+            flipped = True
+            for s in edits[i]:
+                for step, to in ((s - 1) % m, s), (s, (s - 1) % m):
+                    f, g, over, sign = out[row_at[step]]
+                    out[row_at[step]] = (to, g, over, sign) if f == step else (f, to, over, sign)
+        if len(edited) < len(absent):  # an insertion is left out
+            at = list(accumulate([i not in absent for i in glued_at], initial=0))
+            out = [(at[f], at[g], over, sign)
+                   for (f, g, over, sign), i in zip(out, glued) if i not in absent]
+        if flipped:
+            out = sorted((f, g, over, sign) if f < g else (g, f, not over, sign)
+                         for f, g, over, sign in out)
+        return out
+
+    return table
 
 
 def apply_chord(d: Diagram, chord: Chord) -> Diagram:
@@ -383,9 +475,11 @@ class SingularFamily:
         return tuple(c.k for c in self.chords)
 
     @cached_property
-    def _plan(self) -> tuple[Diagram, Callable[[Container[int]], Diagram]]:
-        """(K_full, member): the full band sum, glued and checked once, and
-        ``_glue_many``'s builder that splices K_P for any subset P."""
+    def _plan(self) -> tuple[Diagram, Callable[[Container[int]], Diagram],
+                             Callable[[Container[int]], Table]]:
+        """(K_full, member, table): the full band sum, glued and checked
+        once, and ``_glue_many``'s builders of K_P and of its Gauss chord
+        table for any subset P."""
         return _glue_many(self.base, self.chords)
 
     def to_json(self) -> dict:
@@ -406,7 +500,7 @@ class SingularFamily:
 
 def family(fam: SingularFamily) -> dict[frozenset, Diagram]:
     """All 2^l diagrams K_P, each spliced from the family's one glue plan."""
-    full, member = fam._plan
+    full, member, _ = fam._plan
     out: dict[frozenset, Diagram] = {}
     n = len(fam.chords)
     for mask in range(1 << n):

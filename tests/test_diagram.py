@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotmoves import diagram, gauss
-from knotmoves.corpus import corpus
+from knotmoves.corpus import _COMPOSITES, _PRIME_DT, _named, corpus
 from knotmoves.diagram import (Crossing, Diagram, Fragment, MalformedDiagram, NotRealizable,
                                _pattern_key, emit_dt, emit_pd, parse_dt, parse_pd)
 from knotmoves.finitetype import random_family
@@ -403,9 +403,33 @@ def test_lazy_basepoint_matches_eager(monkeypatch):
     lazy = values(basepoint_cases())
     with monkeypatch.context() as m:
         m.setattr(Diagram, "__init__", eager_init)
+        _named.cache_clear()  # the corpus is built once per process
         eager = values(basepoint_cases())
+    _named.cache_clear()
     assert len(lazy) > 300
     assert lazy == eager
+
+
+def test_corpus_is_built_once_and_handed_out_fresh():
+    """Each call returns a new dict of the same diagram objects, so an edit
+    to one caller's dict leaks into no later call."""
+    names = list(_PRIME_DT) + list(_COMPOSITES)
+    whole = corpus(include_unknot=True)
+    assert list(whole) == ["unknot"] + names
+    for kwargs in ({}, {"include_unknot": True}, {"max_crossings": 7},
+                   {"max_crossings": 7, "include_unknot": True}, {"max_crossings": 0}):
+        first, second = corpus(**kwargs), corpus(**kwargs)
+        want = [name for name, d in whole.items()
+                if (kwargs.get("include_unknot") or name != "unknot")
+                and d.n_crossings <= kwargs.get("max_crossings", d.n_crossings)]
+        assert first is not second and list(first) == list(second) == want, kwargs
+        assert all(first[name] is second[name] is whole[name] for name in want)
+        first["3_1"] = whole["4_1"]
+        first.pop("4_1", None)
+        first["extra"] = whole["unknot"]
+        assert corpus(**kwargs) == second, kwargs
+    assert corpus(max_crossings=0) == {}
+    assert list(corpus(max_crossings=3, include_unknot=True)) == ["unknot", "3_1"]
 
 
 def test_canonical_key_invariances(left_trefoil):

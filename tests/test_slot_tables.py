@@ -649,7 +649,7 @@ def _check_gate(base: Diagram, chords: Sequence[Chord], seen: Counter) -> None:
     except InapplicableMove:
         face_rule = None
     try:
-        _, member = _glue_many(base, chords)
+        _, member, _ = _glue_many(base, chords)
     except (InvalidSite, MalformedDiagram) as exc:
         seen["refused by a face rule, " + str(exc) if face_rule else "refused"] += 1
         return
